@@ -23,6 +23,7 @@ import (
 	"net"
 	"os"
 	"os/signal"
+	"sync"
 	"syscall"
 
 	"repro/internal/core"
@@ -66,6 +67,9 @@ func main() {
 	defer v.Close()
 	sanitizer := sanitize.New(*salt)
 	classifier := spamfilter.NewClassifier(spamfilter.Config{OurDomains: ourDomains})
+	// The classifier's Layer 3 state is plain maps that ClassifyOne
+	// writes, and smtpd delivers from concurrent sessions.
+	var classifyMu sync.Mutex
 
 	dnsSrv := dnsserve.NewServer(store)
 	dnsBound := make(chan net.Addr, 1)
@@ -92,7 +96,9 @@ func main() {
 				Msg: msg, ServerDomain: serverDomain, RcptAddr: rcpt,
 				SenderAddr: env.MailFrom, Received: env.Received,
 			}
+			classifyMu.Lock()
 			r := classifier.ClassifyOne(email)
+			classifyMu.Unlock()
 			// Clear logs carry only our own canonical domain name and the
 			// funnel verdict (the paper's metadata/content split) — never
 			// addresses or bytes from the envelope itself.

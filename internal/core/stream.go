@@ -33,8 +33,10 @@ type streamSink struct {
 // traffic (units only schedule into their own day or later, so a day is
 // final once generation has moved past it). The pending queue bounds the
 // working set; with a spill dir it stays bounded even when episodes
-// trail their cause by many days.
-func (s *Study) streamChunks(q *pendQueue, sink streamSink) error {
+// trail their cause by many days. samples selects whether units build
+// their spam samples (generateUnit); a pass that never reads them skips
+// the work without changing any other unit output.
+func (s *Study) streamChunks(q *pendQueue, samples bool, sink streamSink) error {
 	start := simclock.CollectionStart
 	chunkDays := s.Cfg.StreamChunkDays
 	if chunkDays <= 0 {
@@ -47,7 +49,7 @@ func (s *Study) streamChunks(q *pendQueue, sink streamSink) error {
 		if len(chunk) > 0 {
 			outs := par.MapAt(seed, base, chunk,
 				func(_ int, u genUnit, rng *rand.Rand) unitResult {
-					return s.generateUnit(u, rng, start)
+					return s.generateUnit(u, rng, start, samples)
 				})
 			for k := range chunk {
 				if err := sink.onUnit(chunk[k], &outs[k]); err != nil {
@@ -191,8 +193,9 @@ func (t *streamTally) apply(res *Result) {
 // Layer 5 of the funnel is corpus-wide, so one pass cannot classify:
 // pass one streams generation to harvest the calibration tallies and the
 // Layer 5 frequency tables; pass two regenerates the identical traffic
-// (generateUnit is a pure function of the unit and its PRNG sub-stream),
-// allocates the aggregate volumes in unit order, and replays the funnel
+// (generateUnit is a pure function of the unit and its PRNG sub-stream)
+// minus the spam samples, which only pass one reads, allocates the
+// aggregate volumes in unit order, and replays the funnel
 // day by day against a fresh classifier with the harvested tables —
 // exactly the decomposition Classify performs in one sweep.
 func (s *Study) runStreaming() (*Result, error) {
@@ -220,7 +223,7 @@ func (s *Study) runStreaming() (*Result, error) {
 	mainFreq := spamfilter.NewFreqTables()
 	emailsSeen := 0
 
-	err = s.streamChunks(q1, streamSink{
+	err = s.streamChunks(q1, true, streamSink{
 		onUnit: func(u genUnit, out *unitResult) error {
 			d := &s.Domains[u.di]
 			isTrap := d.Kind == KindSMTPTrap
@@ -289,7 +292,7 @@ func (s *Study) runStreaming() (*Result, error) {
 	cls2 := spamfilter.NewClassifier(spamfilter.Config{OurDomains: ourDomains})
 	tally := newStreamTally(s.Cfg.Days)
 
-	err = s.streamChunks(q2, streamSink{
+	err = s.streamChunks(q2, false, streamSink{
 		onUnit: func(u genUnit, out *unitResult) error {
 			d := &s.Domains[u.di]
 			isTrap := d.Kind == KindSMTPTrap

@@ -257,7 +257,10 @@ type unitResult struct {
 // true typo traffic (receiver typos, contaminant scams, reflection and
 // SMTP episodes). Each unit owns a private spam generator seeded from
 // its stream, so the campaign draw is a pure function of the unit.
-func (s *Study) generateUnit(u genUnit, rng *rand.Rand, start time.Time) unitResult {
+// With samples false the spam sample is counted but not built: it draws
+// only from the private generator, so every later draw on rng — and
+// with it the typo traffic — is unchanged.
+func (s *Study) generateUnit(u genUnit, rng *rand.Rand, start time.Time, samples bool) unitResult {
 	d := &s.Domains[u.di]
 	isTrap := d.Kind == KindSMTPTrap
 	when := start.Add(time.Duration(u.day)*24*time.Hour + 12*time.Hour)
@@ -270,7 +273,7 @@ func (s *Study) generateUnit(u genUnit, rng *rand.Rand, start time.Time) unitRes
 	spam := spamgen.New(spamgen.DefaultParams(), rng.Int63())
 	volume := spam.DayVolume(u.day, s.attractiveness(*d), isTrap)
 	out.volume = float64(volume)
-	if nSample := sampleCount(rng, volume, s.Cfg.SpamSampleDivisor); nSample > 0 {
+	if nSample := sampleCount(rng, volume, s.Cfg.SpamSampleDivisor); nSample > 0 && samples {
 		out.samples = spam.Materialize(nSample, d.Name, isTrap)
 		for _, e := range out.samples {
 			e.Received = when
@@ -410,11 +413,6 @@ func (s *Study) Run() (*Result, error) {
 	// Deferred emails (reflection notifications, SMTP episode bursts)
 	// keyed by day index.
 	pending := make(map[int][]*spamfilter.Email)
-	totalPending := 0
-	for _, es := range pending {
-		totalPending += len(es)
-	}
-	allTypoEmails := make([]*spamfilter.Email, 0, totalPending)
 	typoMeta := make(map[*spamfilter.Email]*StudyDomain)
 	// Hand-written one-off scams survive every automated layer; ground
 	// truth lets the run report the contamination the paper's manual
@@ -435,7 +433,7 @@ func (s *Study) Run() (*Result, error) {
 	}
 	unitOut := par.Map(par.SubSeed(s.Cfg.Seed, streamGenUnits), units,
 		func(i int, u genUnit, rng *rand.Rand) unitResult {
-			return s.generateUnit(u, rng, start)
+			return s.generateUnit(u, rng, start, true)
 		})
 
 	// ---- Ordered merge, identical to the sequential interleaving.
@@ -461,7 +459,9 @@ func (s *Study) Run() (*Result, error) {
 	}
 	// Collect materialized typo traffic in landing-day order; emails
 	// landing on outage days are dropped, as the downed infrastructure
-	// would have.
+	// would have. typoMeta holds every scheduled email, so it bounds the
+	// size.
+	allTypoEmails := make([]*spamfilter.Email, 0, len(typoMeta))
 	for day := 0; day < s.Cfg.Days; day++ {
 		if s.inOutage(day) {
 			continue

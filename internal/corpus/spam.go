@@ -164,13 +164,40 @@ func SpamMessage(rng *rand.Rand, evasion float64) *mailmsg.Message {
 // a campaign share their body skeleton (same bag of words), which is what
 // Layer 3's collaborative filter keys on.
 func CampaignMessage(rng *rand.Rand, campaignID int, evasion float64) *mailmsg.Message {
-	// Derive the campaign's fixed content from its ID, then randomize only
-	// the recipient and trivial fields.
-	crng := par.Rand(13, campaignID)
-	msg := SpamMessage(crng, evasion)
+	// The campaign's fixed content is a pure function of its ID (and the
+	// evasion level), built once and cloned per message; only the
+	// recipient and trivial fields are randomized.
+	msg := campaignSkeleton(campaignID, evasion).Clone()
 	to := PersonAddr(rng, pick(rng, []string{"gmail.com", "hotmail.com", "outlook.com", "yahoo.com"}))
 	msg.SetHeader("To", to)
 	msg.SetHeader("Message-Id", fmt.Sprintf("<c%d-%d@spam.example>", campaignID, rng.Int63()))
+	return msg
+}
+
+// skeletonKey names one campaign body: the same ID at a different
+// evasion level is a different message.
+type skeletonKey struct {
+	id      int
+	evasion float64
+}
+
+// skeletonCache memoizes campaign bodies, in genCache's idiom: building
+// one reseeds a fresh PRNG, which costs far more than cloning the result.
+// Entries never leave the package: CampaignMessage returns deep copies.
+var (
+	skeletonMu    sync.Mutex
+	skeletonCache = map[skeletonKey]*mailmsg.Message{}
+)
+
+func campaignSkeleton(id int, evasion float64) *mailmsg.Message {
+	k := skeletonKey{id, evasion}
+	skeletonMu.Lock()
+	defer skeletonMu.Unlock()
+	msg, ok := skeletonCache[k]
+	if !ok {
+		msg = SpamMessage(par.Rand(13, id), evasion)
+		skeletonCache[k] = msg
+	}
 	return msg
 }
 

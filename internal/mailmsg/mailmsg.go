@@ -130,6 +130,29 @@ func (m *Message) HeaderValues(key string) []string { return m.header[canonicalK
 // HasHeader reports whether key is present.
 func (m *Message) HasHeader(key string) bool { return len(m.header[canonicalKey(key)]) > 0 }
 
+// Clone returns a deep copy: headers (in insertion order), bodies and
+// attachment bytes share nothing with m, so either may be mutated
+// without the other seeing it.
+func (m *Message) Clone() *Message {
+	c := &Message{
+		headerKeys: append([]string(nil), m.headerKeys...),
+		header:     make(map[string][]string, len(m.headerKeys)),
+		Body:       m.Body,
+		HTMLBody:   m.HTMLBody,
+	}
+	for _, k := range m.headerKeys {
+		c.header[k] = append([]string(nil), m.header[k]...)
+	}
+	if m.Attachments != nil {
+		c.Attachments = make([]Attachment, len(m.Attachments))
+		for i, a := range m.Attachments {
+			a.Data = append([]byte(nil), a.Data...)
+			c.Attachments[i] = a
+		}
+	}
+	return c
+}
+
 // HeaderKeys returns the header names in insertion order.
 func (m *Message) HeaderKeys() []string { return append([]string(nil), m.headerKeys...) }
 

@@ -327,3 +327,46 @@ func TestMultipartNestingBounded(t *testing.T) {
 		t.Error("unbounded nesting accepted")
 	}
 }
+
+// TestCloneDeep checks Clone copies every part of a message, keeps the
+// header order, and shares no mutable state with the original.
+func TestCloneDeep(t *testing.T) {
+	m := NewBuilder("a@b.example", "c@d.example", "hello").
+		Header("Reply-To", "r@b.example").
+		Body("plain body").
+		HTML("<p>html body</p>").
+		Attach("x.zip", "application/zip", []byte{1, 2, 3}).
+		Build()
+	m.AddHeader("Received", "hop1")
+	m.AddHeader("Received", "hop2")
+	orig := m.Bytes()
+
+	c := m.Clone()
+	if !bytes.Equal(c.Bytes(), orig) {
+		t.Fatal("clone serializes differently from the original")
+	}
+	if got, want := strings.Join(c.HeaderKeys(), ","), strings.Join(m.HeaderKeys(), ","); got != want {
+		t.Fatalf("clone header order %q, want %q", got, want)
+	}
+
+	c.SetHeader("Subject", "changed")
+	c.AddHeader("Received", "hop3")
+	c.SetHeader("X-New", "v")
+	c.Body = "changed"
+	c.HTMLBody = "changed"
+	c.Attachments[0].Data[0] = 9
+	c.Attachments[0].Filename = "y.exe"
+	c.Attachments = append(c.Attachments, Attachment{Filename: "z.rar"})
+	if !bytes.Equal(m.Bytes(), orig) {
+		t.Fatal("mutating the clone changed the original")
+	}
+
+	// The other direction: appending to the original's multi-valued
+	// header must not reach the clone through a shared backing array.
+	before := c.Bytes()
+	m.AddHeader("Received", "hop4")
+	m.Attachments[0].Data[1] = 9
+	if !bytes.Equal(c.Bytes(), before) {
+		t.Fatal("mutating the original changed the clone")
+	}
+}
