@@ -68,8 +68,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	format := fs.String("format", "text", "output format: text, json (newline-delimited objects) or sarif")
 	baselinePath := fs.String("baseline", "", "suppress findings covered by this baseline file (the ratchet)")
 	writeBaseline := fs.String("write-baseline", "", "write the current findings as a baseline file and exit 0")
-	incremental := fs.Bool("incremental", false, "serve unchanged packages from the content-hash cache; skip typechecking when everything hits")
-	cacheDir := fs.String("cache", ".repolint-cache", "cache directory for -incremental, relative to the module root")
 	why := fs.String("why", "", "print the blame chain for one finding, identified as analyzer@file:line")
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -104,12 +102,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "repolint: %v\n", err)
 		return 2
 	}
+	prog, targets, err := lint.LoadProgram(cwd, fs.Args())
+	if err != nil {
+		fmt.Fprintf(stderr, "repolint: %v\n", err)
+		return 2
+	}
 	if *format == "effects" {
-		prog, targets, err := lint.LoadProgram(cwd, fs.Args())
-		if err != nil {
-			fmt.Fprintf(stderr, "repolint: %v\n", err)
-			return 2
-		}
 		if err := lint.WriteEffects(stdout, lint.EffectSummaries(prog, targets)); err != nil {
 			fmt.Fprintf(stderr, "repolint: %v\n", err)
 			return 2
@@ -117,26 +115,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 0
 	}
 
-	var findings []lint.Finding
-	var nTargets int
-	if *incremental {
-		found, stats, err := lint.RunIncremental(cwd, fs.Args(), analyzers, *cacheDir)
-		if err != nil {
-			fmt.Fprintf(stderr, "repolint: %v\n", err)
-			return 2
-		}
-		findings = found
-		nTargets = stats.Hits + stats.Misses
-		fmt.Fprintf(stderr, "repolint: cache %d hit / %d miss\n", stats.Hits, stats.Misses)
-	} else {
-		prog, targets, err := lint.LoadProgram(cwd, fs.Args())
-		if err != nil {
-			fmt.Fprintf(stderr, "repolint: %v\n", err)
-			return 2
-		}
-		findings = lint.Run(prog, targets, analyzers)
-		nTargets = len(targets)
-	}
+	findings := lint.Run(prog, targets, analyzers)
 	relpath := func(name string) string {
 		rel, err := filepath.Rel(cwd, name)
 		if err != nil || strings.HasPrefix(rel, "..") {
@@ -190,7 +169,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "repolint: %d baselined finding(s) suppressed\n", suppressed)
 	}
 	if len(findings) > 0 {
-		fmt.Fprintf(stderr, "repolint: %d finding(s) in %d package(s)\n", len(findings), nTargets)
+		fmt.Fprintf(stderr, "repolint: %d finding(s) in %d package(s)\n", len(findings), len(targets))
 		if staleWaiversOnly(findings) {
 			return 3
 		}

@@ -64,11 +64,6 @@ func (e *Experiment) String() string {
 // ecosystem snapshot) between experiments.
 type Suite struct {
 	Seed int64
-	// Streaming runs the collection through core's chunked two-pass mode
-	// (bounded working set) instead of materializing the whole window;
-	// results are byte-identical either way, so every experiment and
-	// check is unaffected by the choice.
-	Streaming bool
 
 	once  sync.Once
 	study *core.Study
@@ -85,7 +80,6 @@ func (s *Suite) materialize() error {
 	s.once.Do(func() {
 		cfg := core.DefaultConfig()
 		cfg.Seed = s.Seed
-		cfg.Streaming = s.Streaming
 		study, err := core.NewStudy(cfg)
 		if err != nil {
 			s.err = err

@@ -58,7 +58,10 @@ var ErrDialTimeout net.Error = timeoutErr{}
 // outbound bytes).
 type DirPlan struct {
 	// LatencyRate is the per-operation probability of injected latency,
-	// drawn uniformly from [LatencyMin, LatencyMax].
+	// drawn uniformly from [LatencyMin, LatencyMax]. An operation is one
+	// Write call, or one read segment: the bytes the first Read at a
+	// segment boundary asks for, clipped by the faults drawn for it.
+	// Later Reads finish the segment without drawing again.
 	LatencyRate            float64
 	LatencyMin, LatencyMax time.Duration
 	// PartialRate is the per-operation probability of a short transfer:
@@ -320,7 +323,10 @@ func (n *Net) record(ev Event) {
 // conn applies the per-direction stream plan. All fault decisions come
 // from the connection's private PRNG under mu, so concurrent readers and
 // writers of one conn still draw a deterministic sequence per direction
-// interleaving; sleeps happen outside the lock.
+// interleaving; sleeps happen outside the lock. Writes draw once per
+// Write call. Reads draw once per read segment (see planReadLocked),
+// because the number of Read calls an inbound stream takes is the
+// kernel's choice, not the caller's.
 type conn struct {
 	net.Conn
 	net *Net
@@ -330,6 +336,7 @@ type conn struct {
 	rng     *rand.Rand
 	seq     int64
 	rb, wb  int64 // bytes moved so far, per direction
+	rEnd    int64 // end offset of the current read segment
 	truncAt int64 // inbound cut offset; 0 means never
 	rdCap   bool  // bandwidth-cap event recorded (read)
 	wrCap   bool  // bandwidth-cap event recorded (write)
@@ -351,28 +358,55 @@ func (c *conn) Read(p []byte) (int, error) {
 		c.mu.Unlock()
 		return 0, err
 	}
+	var lat time.Duration
+	if c.rb >= c.rEnd {
+		lat = c.planReadLocked(len(p))
+		if err := c.stuck; err != nil {
+			c.mu.Unlock()
+			c.Conn.Close()
+			return 0, err
+		}
+	}
+	max := len(p)
+	if rest := c.rEnd - c.rb; int64(max) > rest {
+		max = int(rest)
+	}
+	c.mu.Unlock()
+	if lat > 0 {
+		c.net.sleep(lat)
+	}
+	nr, err := c.Conn.Read(p[:max])
+	c.mu.Lock()
+	c.rb += int64(nr)
+	c.mu.Unlock()
+	return nr, err
+}
+
+// planReadLocked opens the read segment starting at c.rb for a Read of
+// n bytes. It draws the segment's reset, latency and partial-read
+// faults, applies the bandwidth cap and the truncation budget, and sets
+// rEnd; on a reset or truncation it sets stuck instead. Reads inside an
+// open segment draw nothing, so how the kernel splits the inbound bytes
+// across Read calls never reaches the PRNG: the trace depends only on
+// the seed, the connection and the bytes.
+func (c *conn) planReadLocked(n int) time.Duration {
 	pl := c.net.plan.Read
 	if chance(c.rng, pl.ResetRate) {
 		c.stuck = &net.OpError{Op: "read", Net: "tcp", Err: ErrReset}
 		c.recordLocked(KindReset, DirRead, c.rb, 0)
-		err := c.stuck
-		c.mu.Unlock()
-		c.Conn.Close()
-		return 0, err
+		return 0
 	}
 	if c.truncAt > 0 && c.rb >= c.truncAt {
 		c.stuck = io.EOF
 		c.recordLocked(KindTruncate, DirRead, c.rb, c.truncAt)
-		c.mu.Unlock()
-		c.Conn.Close()
-		return 0, io.EOF
+		return 0
 	}
 	var lat time.Duration
 	if chance(c.rng, pl.LatencyRate) {
 		lat = span(c.rng, pl.LatencyMin, pl.LatencyMax)
 		c.recordLocked(KindLatency, DirRead, c.rb, int64(lat))
 	}
-	max := len(p)
+	max := n
 	if pl.MaxOpBytes > 0 && max > pl.MaxOpBytes {
 		max = pl.MaxOpBytes
 		if !c.rdCap {
@@ -387,15 +421,8 @@ func (c *conn) Read(p []byte) (int, error) {
 	if c.truncAt > 0 && c.rb+int64(max) > c.truncAt {
 		max = int(c.truncAt - c.rb)
 	}
-	c.mu.Unlock()
-	if lat > 0 {
-		c.net.sleep(lat)
-	}
-	nr, err := c.Conn.Read(p[:max])
-	c.mu.Lock()
-	c.rb += int64(nr)
-	c.mu.Unlock()
-	return nr, err
+	c.rEnd = c.rb + int64(max)
+	return lat
 }
 
 func (c *conn) Write(p []byte) (int, error) {

@@ -852,7 +852,7 @@ func (st *effectState) blameChain(key any, e cfg.Effect) []chainHop {
 }
 
 // relPos renders a position module-root-relative (slash-separated), so
-// chains are stable across checkouts and cacheable.
+// chains are stable across checkouts.
 func (st *effectState) relPos(pos token.Pos) string {
 	p := st.prog.Fset.Position(pos)
 	rel, err := filepath.Rel(st.prog.Root, p.Filename)

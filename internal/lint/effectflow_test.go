@@ -576,10 +576,10 @@ internal/par.run.func1: Blocking{chan}
 	}
 }
 
-// TestIncrementalEffectInvalidation proves the cache re-flags a caller
-// package when only a callee's body changes: effects flow callee →
-// caller, and the dep-key recursion must carry that.
-func TestIncrementalEffectInvalidation(t *testing.T) {
+// TestEffectCalleeEditReflagsCaller proves a caller package's findings
+// follow its callee's body: effects flow callee → caller, so editing
+// only the callee re-flags the caller's unchanged shard closure.
+func TestEffectCalleeEditReflagsCaller(t *testing.T) {
 	files := map[string]string{
 		"internal/par/par.go":   effectParStub,
 		"internal/util/util.go": "package util\n\nfunc Helper(n int) int { return n * 2 }\n",
@@ -600,24 +600,9 @@ func Shard(seed int64, items []int) []int {
 `,
 	}
 	dir := writeTree(t, files)
-	cache := filepath.Join(dir, ".repolint-cache")
-	analyzers := []*Analyzer{PureParAnalyzer, LockBlockAnalyzer, GlobalMutAnalyzer}
-
-	cold, stats, err := RunIncremental(dir, []string{"./..."}, analyzers, cache)
-	if err != nil {
-		t.Fatalf("cold run: %v", err)
-	}
-	if len(cold) != 0 {
-		t.Fatalf("base fixture must be clean, got:\n%v", cold)
-	}
-	n := stats.Misses
-
-	warm, stats, err := RunIncremental(dir, []string{"./..."}, analyzers, cache)
-	if err != nil {
-		t.Fatalf("warm run: %v", err)
-	}
-	if stats.Hits != n || stats.Misses != 0 || len(warm) != 0 {
-		t.Fatalf("warm stats = %+v with %d findings, want %d hits and none", stats, len(warm), n)
+	analyzers := []string{"purepar", "lockblock", "globalmut"}
+	if base := runFixtureFindings(t, dir, analyzers...); len(base) != 0 {
+		t.Fatalf("base fixture must be clean, got:\n%v", base)
 	}
 
 	// Only util.go changes; runner.go's bytes are untouched, but its
@@ -626,13 +611,7 @@ func Shard(seed int64, items []int) []int {
 	if err := os.WriteFile(filepath.Join(dir, "internal/util/util.go"), []byte(edited), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	findings, stats, err := RunIncremental(dir, []string{"./..."}, analyzers, cache)
-	if err != nil {
-		t.Fatalf("post-edit run: %v", err)
-	}
-	if stats.Misses != 2 {
-		t.Errorf("post-edit stats = %+v, want util and runner to miss (2 misses)", stats)
-	}
+	findings := runFixtureFindings(t, dir, analyzers...)
 	if len(findings) != 1 {
 		t.Fatalf("got %d findings, want the re-flagged runner shard:\n%v", len(findings), findings)
 	}
@@ -682,40 +661,19 @@ func Run(seed int64, ms []map[string]int) [][]string {
 	return files
 }
 
-// BenchmarkRepolintEffects reports the cold (typecheck + fixpoint) and
-// warm (all-hit cache) costs of the L4 effect analyzers; the
-// BENCH_*.json regression gate tracks both staying cheap.
+// BenchmarkRepolintEffects reports the cost of loading, typechecking
+// and running the L4 effect analyzers (summary fixpoint included) over
+// a fresh program each iteration; the BENCH_*.json regression gate
+// tracks it staying cheap.
 func BenchmarkRepolintEffects(b *testing.B) {
 	analyzers := []*Analyzer{PureParAnalyzer, LockBlockAnalyzer, GlobalMutAnalyzer}
-	b.Run("cold", func(b *testing.B) {
-		dir := writeTree(b, effectBenchFiles())
-		cache := filepath.Join(dir, ".repolint-cache")
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if err := os.RemoveAll(cache); err != nil {
-				b.Fatal(err)
-			}
-			if _, _, err := RunIncremental(dir, []string{"./..."}, analyzers, cache); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("warm", func(b *testing.B) {
-		dir := writeTree(b, effectBenchFiles())
-		cache := filepath.Join(dir, ".repolint-cache")
-		if _, _, err := RunIncremental(dir, []string{"./..."}, analyzers, cache); err != nil {
+	dir := writeTree(b, effectBenchFiles())
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		prog, targets, err := LoadProgram(dir, []string{"./..."})
+		if err != nil {
 			b.Fatal(err)
 		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			_, stats, err := RunIncremental(dir, []string{"./..."}, analyzers, cache)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if stats.Loaded {
-				b.Fatal("warm iteration loaded the module")
-			}
-		}
-	})
+		Run(prog, targets, analyzers)
+	}
 }

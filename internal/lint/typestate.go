@@ -1,13 +1,7 @@
 package lint
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"fmt"
-	"io"
-	"sort"
-	"strings"
-	"sync"
 
 	"repro/internal/lint/cfg"
 )
@@ -19,11 +13,6 @@ import (
 // analyzers map method calls on tracked objects to events, and any
 // event fired in a state with no transition for it is a protocol
 // violation (cfg.Machine.Step's rejected component).
-//
-// The tables are also cache inputs: editing one changes the result of
-// analyzing every package that uses the protocol's tracked types, so
-// protocolDigestFor folds a canonical serialization of the relevant
-// tables into those packages' incremental-cache keys (schema v3).
 
 // Protocol is one declared finite-state protocol.
 type Protocol struct {
@@ -35,9 +24,8 @@ type Protocol struct {
 	// to fire in a state with no transition for it.
 	Fail map[string]string
 	// TrackedImports are the module-relative package paths defining the
-	// protocol's tracked types. Editing the protocol must invalidate
-	// cached results for exactly the packages that import (or are) one
-	// of these.
+	// protocol's tracked types. Only packages that are, or directly
+	// import, one of these are analyzed (protoPkgInScope).
 	TrackedImports []string
 }
 
@@ -153,12 +141,6 @@ var streamProtocol = &Protocol{
 	TrackedImports: []string{"internal/par"},
 }
 
-// protocols is the full registry, in digest order. The incremental
-// cache (schema v3) folds each table's serialization into the keys of
-// the packages its TrackedImports reach; tests may swap entries
-// in-process to prove invalidation, which is why this is a var.
-var protocols = []*Protocol{vaultProtocol, smtpClientProtocol, smtpServerProtocol, streamProtocol}
-
 // protoMachine is one compiled protocol: the cfg.Machine plus the
 // name<->index mappings the engine and the messages need.
 type protoMachine struct {
@@ -242,76 +224,4 @@ func (pm *protoMachine) stateSetNames(ss cfg.StateSet) string {
 		out += pm.states[s]
 	}
 	return out
-}
-
-// serializeProtocol renders one table canonically for digesting:
-// states and init in declared order, transitions as written, Fail in
-// sorted key order.
-func serializeProtocol(p *Protocol) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "protocol %s\nstates %v\ninit %s\n", p.Name, p.States, p.Init)
-	for _, t := range p.Trans {
-		fmt.Fprintf(&b, "trans %s --%s--> %s\n", t.From, t.On, t.To)
-	}
-	keys := make([]string, 0, len(p.Fail))
-	for k := range p.Fail {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		fmt.Fprintf(&b, "fail %s: %s\n", k, p.Fail[k])
-	}
-	fmt.Fprintf(&b, "tracked %v\n", p.TrackedImports)
-	return b.String()
-}
-
-// protoSerialCache memoizes serializeProtocol per table pointer:
-// computeKeys calls protocolDigestFor once per package, and the tables
-// are immutable values — tests that edit a protocol install a fresh
-// pointer, which naturally misses here.
-var protoSerialCache sync.Map // *Protocol -> string
-
-func serializedProtocol(p *Protocol) string {
-	if v, ok := protoSerialCache.Load(p); ok {
-		return v.(string)
-	}
-	s := serializeProtocol(p)
-	protoSerialCache.Store(p, s)
-	return s
-}
-
-// protocolDigestFor returns the combined digest of every protocol
-// whose tracked imports intersect the given module-relative package
-// path or its direct module-internal imports ("" when none do — the
-// package's cache key then does not depend on any table). Transitive
-// importers inherit the digest through their dependencies' keys, the
-// same way file hashes propagate.
-func protocolDigestFor(relPath string, relDeps []string) string {
-	touches := func(p *Protocol) bool {
-		for _, ti := range p.TrackedImports {
-			if relPath == ti {
-				return true
-			}
-			for _, d := range relDeps {
-				if d == ti {
-					return true
-				}
-			}
-		}
-		return false
-	}
-	parts := make([]string, 0, len(protocols))
-	for _, p := range protocols {
-		if touches(p) {
-			parts = append(parts, serializedProtocol(p))
-		}
-	}
-	if len(parts) == 0 {
-		return ""
-	}
-	h := sha256.New()
-	for _, s := range parts {
-		io.WriteString(h, s)
-	}
-	return hex.EncodeToString(h.Sum(nil))
 }

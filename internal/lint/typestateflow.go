@@ -607,7 +607,7 @@ func reportProtoViolation(pass *Pass, pm *protoMachine, label, ev string, rej cf
 }
 
 // progRelPos renders a position module-root-relative (slash-separated)
-// so chains are stable across checkouts and cacheable.
+// so chains are stable across checkouts.
 func progRelPos(prog *Program, pos token.Pos) string {
 	p := prog.Fset.Position(pos)
 	rel, err := filepath.Rel(prog.Root, p.Filename)

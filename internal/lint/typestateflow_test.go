@@ -1,9 +1,6 @@
 package lint
 
 import (
-	"os"
-	"path/filepath"
-	"reflect"
 	"strings"
 	"testing"
 )
@@ -690,11 +687,9 @@ func TestStreamIdxMutation(t *testing.T) {
 	}
 }
 
-// typestateCacheFiles is a four-package module for the invalidation
-// test: vault (tracked), core (imports vault, contains a violation so
-// cached Details are exercised), app (imports core only), other
-// (imports nothing tracked).
-var typestateCacheFiles = merge(vaultTypestateStub, map[string]string{
+// typestateEditFiles seeds one use-after-Close into a caller of the
+// vault stub, for the protocol-table edit test.
+var typestateEditFiles = merge(vaultTypestateStub, map[string]string{
 	"internal/core/core.go": `package core
 
 import "repro/internal/vault"
@@ -708,104 +703,41 @@ func Bad(key []byte) error {
 	return v.Put("d", "t", nil)
 }
 `,
-	"internal/app/app.go": `package app
-
-import "repro/internal/core"
-
-func Run(key []byte) error { return core.Bad(key) }
-`,
-	"internal/other/other.go": `package other
-
-func Noop() {}
-`,
 })
 
-// TestIncrementalTypestateInvalidation pins the schema-v3 cache
-// contract: cold and warm runs produce byte-identical findings
-// (including the -why Detail chains), and an in-process edit of a
-// protocol table invalidates exactly the packages whose key folds that
-// protocol's digest — the tracked packages and their importers — while
-// unrelated packages keep hitting.
-func TestIncrementalTypestateInvalidation(t *testing.T) {
-	dir := writeTree(t, typestateCacheFiles)
-	cache := filepath.Join(dir, ".repolint-cache")
-	analyzers := Analyzers()
+// TestProtocolTableEditChangesFindings pins that the caller's findings
+// follow the protocol table, which is data: the seeded use-after-Close
+// is reported with the table's Fail text and a blame chain, editing
+// the Fail text changes the message, and adding the missing transition
+// clears the finding. Every run loads a fresh Program, and the compiled
+// machine is cached per Program, so each run sees the edited table.
+func TestProtocolTableEditChangesFindings(t *testing.T) {
+	dir := writeTree(t, typestateEditFiles)
+	orig := *vaultProtocol
+	defer func() { *vaultProtocol = orig }()
 
-	cold, stats, err := RunIncremental(dir, []string{"./..."}, analyzers, cache)
-	if err != nil {
-		t.Fatalf("cold run: %v", err)
-	}
-	if stats.Misses != 4 || stats.Hits != 0 {
-		t.Fatalf("cold stats = %+v, want 4 misses", stats)
-	}
-	hasVaultstate := false
-	for _, f := range cold {
-		if f.Analyzer == "vaultstate" && f.Detail != "" {
-			hasVaultstate = true
-		}
-	}
-	if !hasVaultstate {
-		t.Fatal("fixture produced no vaultstate finding with a blame chain; the identity check would be vacuous")
+	base := runFixtureFindings(t, dir, "vaultstate")
+	if len(base) != 1 || base[0].Detail == "" || !strings.HasSuffix(base[0].Message, orig.Fail["use"]) {
+		t.Fatalf("want one vaultstate finding carrying the table's Fail text and a blame chain, got %v", base)
 	}
 
-	warm, stats, err := RunIncremental(dir, []string{"./..."}, analyzers, cache)
-	if err != nil {
-		t.Fatalf("warm run: %v", err)
+	vaultProtocol.Fail = map[string]string{
+		"use":    orig.Fail["use"] + " (edited)",
+		"rotate": orig.Fail["rotate"],
 	}
-	if stats.Hits != 4 || stats.Misses != 0 || stats.Loaded {
-		t.Fatalf("warm stats = %+v, want 4 hits without loading", stats)
-	}
-	if !reflect.DeepEqual(cold, warm) {
-		t.Fatalf("warm findings diverge from cold:\n got %v\nwant %v", warm, cold)
-	}
-	render := func(fs []Finding) string {
-		var sb strings.Builder
-		for _, f := range fs {
-			sb.WriteString(f.String())
-			sb.WriteString("\n\t")
-			sb.WriteString(f.Detail)
-			sb.WriteString("\n")
-		}
-		return sb.String()
-	}
-	if render(cold) != render(warm) {
-		t.Fatal("cold and warm renderings are not byte-identical")
+	edited := runFixtureFindings(t, dir, "vaultstate")
+	if len(edited) != 1 || !strings.HasSuffix(edited[0].Message, " (edited)") || edited[0].Pos != base[0].Pos {
+		t.Fatalf("Fail-text edit did not reach the finding at %v: %v", base[0].Pos, edited)
 	}
 
-	// Edit the vault protocol table in-process (the digest input, not
-	// the analysis: the analyzers read the vaultProtocol global, so
-	// findings stay put — only the keys of packages the protocol
-	// reaches may change).
-	orig := protocols[0]
-	if orig != vaultProtocol {
-		t.Fatalf("protocols[0] is %q, want the vault table first", orig.Name)
-	}
-	edited := *vaultProtocol
-	edited.Fail = map[string]string{
-		"use":    vaultProtocol.Fail["use"] + " (edited)",
-		"rotate": vaultProtocol.Fail["rotate"],
-	}
-	protocols[0] = &edited
-	defer func() { protocols[0] = orig }()
-
-	post, stats, err := RunIncremental(dir, []string{"./..."}, analyzers, cache)
-	if err != nil {
-		t.Fatalf("post-edit run: %v", err)
-	}
-	// vault defines tracked types, core imports vault directly (and is
-	// itself in the table's TrackedImports), app inherits through
-	// core's dep key; other is untouched by any protocol.
-	if stats.Misses != 3 || stats.Hits != 1 {
-		t.Fatalf("post-edit stats = %+v, want exactly vault+core+app to miss (3 misses, 1 hit)", stats)
-	}
-	if !reflect.DeepEqual(post, cold) {
-		t.Fatalf("protocol Fail-text edit changed findings unexpectedly:\n got %v\nwant %v", post, cold)
+	vaultProtocol.Trans = append(append([]ProtoEdge(nil), orig.Trans...), ProtoEdge{"closed", "use", "closed"})
+	if got := runFixtureFindings(t, dir, "vaultstate"); len(got) != 0 {
+		t.Fatalf("the edited table allows use after Close, yet findings remain: %v", got)
 	}
 }
 
 // typestateBenchFiles exercises all three protocol analyzers: a vault
-// lifecycle, a stream derivation fan-out, and importers to carry the
-// digest chain.
+// lifecycle, a stream derivation fan-out, and an importer of both.
 var typestateBenchFiles = merge(vaultTypestateStub, parTypestateStub, map[string]string{
 	"internal/core/core.go": `package core
 
@@ -850,11 +782,9 @@ func Run(key []byte, seed int64) error {
 `,
 })
 
-// BenchmarkRepolintTypestate reports the cold (typecheck + analyze)
-// and warm (all-hit incremental) costs of running just the three L5
-// analyzers, mirroring BenchmarkRepolintIncremental; the warm path
-// asserts every package answers from cache. BENCH_10.json pins both,
-// and CI holds the warm allocation count to the committed line.
+// BenchmarkRepolintTypestate reports the cost of loading, typechecking
+// and running just the three L5 analyzers over a fresh program each
+// iteration; the BENCH_*.json regression gate tracks it.
 func BenchmarkRepolintTypestate(b *testing.B) {
 	var analyzers []*Analyzer
 	for _, name := range []string{"vaultstate", "sessionproto", "streamidx"} {
@@ -864,35 +794,13 @@ func BenchmarkRepolintTypestate(b *testing.B) {
 		}
 		analyzers = append(analyzers, a)
 	}
-	b.Run("cold", func(b *testing.B) {
-		dir := writeTree(b, typestateBenchFiles)
-		cache := filepath.Join(dir, ".repolint-cache")
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if err := os.RemoveAll(cache); err != nil {
-				b.Fatal(err)
-			}
-			if _, _, err := RunIncremental(dir, []string{"./..."}, analyzers, cache); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("warm", func(b *testing.B) {
-		dir := writeTree(b, typestateBenchFiles)
-		cache := filepath.Join(dir, ".repolint-cache")
-		if _, _, err := RunIncremental(dir, []string{"./..."}, analyzers, cache); err != nil {
+	dir := writeTree(b, typestateBenchFiles)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		prog, targets, err := LoadProgram(dir, []string{"./..."})
+		if err != nil {
 			b.Fatal(err)
 		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			_, stats, err := RunIncremental(dir, []string{"./..."}, analyzers, cache)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if stats.Loaded || stats.Misses != 0 {
-				b.Fatalf("warm iteration missed the cache: %+v", stats)
-			}
-		}
-	})
+		Run(prog, targets, analyzers)
+	}
 }

@@ -65,197 +65,31 @@ type detector struct {
 	validate func(groups []string) (string, bool)
 	// group selects which capture group is the sensitive span; 0 = whole.
 	group int
-	// gate is a cheap necessary condition for the regex to match: it may
-	// only return false when the regex provably cannot match the text.
-	// nil means "always run the regex".
-	gate func(st *textStats) bool
-	// trigger, when non-nil, is a superset of the bytes a match can start
-	// with; cand (optional) is a further necessary condition on a match
-	// starting at text[c]. Positions failing them cannot start a match,
-	// so the regex runs only at surviving candidates, via an anchored
-	// variant of the pattern.
-	trigger *[256]bool
-	cand    func(text string, c int) bool
-	// anchored is `(?s)\A.` + pattern, run on text[c-1:] so the leading
-	// dot consumes exactly the one context byte and \b at the match start
-	// sees the true neighbor; anchored0 is `\A` + pattern for c == 0.
-	anchored  *regexp.Regexp
-	anchored0 *regexp.Regexp
-	// engGate is the engine-path gate: the structural (digit/byte-count)
-	// part of gate, without the keyword checks the engine's literal
-	// prefilter already subsumes. Like gate it may only return false
-	// when the pattern provably cannot match. nil means "always query".
+	// engGate is a cheap necessary condition checked before the engine's
+	// matches for this pattern are confirmed: a literal byte, digit count
+	// or alphanumeric run the pattern cannot match without, read from one
+	// computeSlimStats pass. It may only return false when the pattern
+	// provably cannot match; nil means "always query". Keyword conditions
+	// are left to the engine's literal prefilter.
 	engGate func(st *textStats) bool
 }
 
-// anchor compiles the candidate-position variants for a pattern.
-func anchor(pattern string) (ctx, bos *regexp.Regexp) {
-	return regexp.MustCompile(`(?s)\A.` + pattern), regexp.MustCompile(`\A` + pattern)
-}
-
-// findAll returns the detector's submatch indices over text, equal to
-// re.FindAllStringSubmatchIndex(text, -1). With a trigger and gating
-// enabled, the whole-text scan is replaced by anchored probes at
-// candidate positions only. That is exact because: every match start
-// satisfies trigger/cand (they are necessary conditions), so probing
-// candidates left to right finds the same leftmost matches; the probe
-// pattern differs only by a one-rune context prefix, and since a
-// candidate byte is ASCII the preceding byte is consumed as exactly one
-// rune whose word-ness equals the original neighbor's (non-ASCII runes
-// and RuneError are both non-word), preserving \b; and resuming after
-// each match end mirrors FindAll's non-overlap rule.
-func (d *detector) findAll(text string, gated bool) [][]int {
-	if !gated || d.trigger == nil {
-		return d.re.FindAllStringSubmatchIndex(text, -1)
-	}
-	var out [][]int
-	for c := 0; c < len(text); c++ {
-		if !d.trigger[text[c]] {
-			continue
-		}
-		if d.cand != nil && !d.cand(text, c) {
-			continue
-		}
-		var idx []int
-		lo := 0
-		if c == 0 {
-			idx = d.anchored0.FindStringSubmatchIndex(text)
-		} else {
-			lo = c - 1
-			idx = d.anchored.FindStringSubmatchIndex(text[lo:])
-		}
-		if idx == nil {
-			continue
-		}
-		for k, v := range idx {
-			if v >= 0 {
-				idx[k] = v + lo
-			}
-		}
-		idx[0] = c // strip the context prefix from the whole-match span
-		out = append(out, idx)
-		c = idx[1] - 1 // resume at the match end (the loop increments)
-	}
-	return out
-}
-
-// Byte helpers for candidate checks.
-func isDigit(c byte) bool { return c >= '0' && c <= '9' }
-
-// isWordByte mirrors regexp's \b word class ([0-9A-Za-z_]); any
-// non-ASCII byte belongs to a non-word rune.
-func isWordByte(c byte) bool {
-	return isDigit(c) || c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z' || c == '_'
-}
-
-// startsAtBoundary reports the \b precondition for a match beginning
-// with a word character at text[c].
-func startsAtBoundary(text string, c int) bool {
-	return c == 0 || !isWordByte(text[c-1])
-}
-
-func mkTrigger(bytes string, pred func(c byte) bool) *[256]bool {
-	var t [256]bool
-	for i := 0; i < len(bytes); i++ {
-		t[bytes[i]] = true
-	}
-	if pred != nil {
-		for c := 0; c < 256; c++ {
-			if pred(byte(c)) {
-				t[c] = true
-			}
-		}
-	}
-	return &t
-}
-
 // textStats summarizes one pass over the scanned text with the byte
-// classes the detector gates need. Every field is a *necessary*
-// condition feed: gates compare against regex structure (literal bytes,
-// mandatory digit counts, mandatory keyword alternations), never
-// against anything a regex could match without.
+// classes the engGates read. Every field feeds a *necessary* condition:
+// gates compare against regex structure (literal bytes, mandatory digit
+// counts and runs), never against anything a regex could match without.
 type textStats struct {
 	hasAt      bool // '@'
 	hasDash    bool // '-'
 	hasSlash   bool // '/'
-	hasColon   bool // ':'
-	hasEq      bool // '='
-	ascii      bool // no byte >= 0x80 (keyword gates need ASCII-only text)
 	digits     int  // total ASCII digit count
 	maxDigRun  int  // longest run of consecutive digits
 	maxAlnmRun int  // longest run of consecutive ASCII alphanumerics
-	lower      string
 }
 
-// keyword reports whether an ASCII-case-insensitive keyword occurs.
-// Non-ASCII text conservatively reports true: Go's (?i) uses Unicode
-// case folding (e.g. U+017F matches 's'), which an ASCII fold cannot
-// see, so gating on keywords is only sound for pure-ASCII input.
-func (st *textStats) keyword(kws ...string) bool {
-	if !st.ascii {
-		return true
-	}
-	for _, kw := range kws {
-		if strings.Contains(st.lower, kw) {
-			return true
-		}
-	}
-	return false
-}
-
-func computeStats(text string) textStats {
-	st := textStats{ascii: true}
-	digRun, alnmRun := 0, 0
-	buf := make([]byte, len(text))
-	for i := 0; i < len(text); i++ {
-		c := text[i]
-		if c >= 0x80 {
-			st.ascii = false
-		}
-		switch c {
-		case '@':
-			st.hasAt = true
-		case '-':
-			st.hasDash = true
-		case '/':
-			st.hasSlash = true
-		case ':':
-			st.hasColon = true
-		case '=':
-			st.hasEq = true
-		}
-		if c >= '0' && c <= '9' {
-			st.digits++
-			digRun++
-			if digRun > st.maxDigRun {
-				st.maxDigRun = digRun
-			}
-		} else {
-			digRun = 0
-		}
-		if c >= '0' && c <= '9' || c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z' {
-			alnmRun++
-			if alnmRun > st.maxAlnmRun {
-				st.maxAlnmRun = alnmRun
-			}
-		} else {
-			alnmRun = 0
-		}
-		if c >= 'A' && c <= 'Z' {
-			c += 'a' - 'A'
-		}
-		buf[i] = c
-	}
-	st.lower = string(buf)
-	return st
-}
-
-// computeSlimStats is computeStats without the lowered-copy buffer:
-// the engine path needs only the structural counters (its literal
-// prefilter replaces the keyword gates), so the one allocation of the
-// full pass is dropped.
+// computeSlimStats fills textStats in one allocation-free pass.
 func computeSlimStats(text string) textStats {
-	st := textStats{ascii: true}
+	var st textStats
 	digRun, alnmRun := 0, 0
 	for i := 0; i < len(text); i++ {
 		c := text[i]
@@ -293,7 +127,7 @@ var detectors = buildDetectors()
 // engine compiles every detector pattern into one shared-prefilter
 // multi-pattern engine; pattern id i is detectors[i]. The stdlib
 // regexps on each detector stay alive as the differential oracle
-// behind ScanOracle/RedactOracle and the disableEngine hook.
+// behind ScanOracle/RedactOracle.
 var engine = buildEngine()
 
 func buildEngine() *match.Engine {
@@ -304,28 +138,11 @@ func buildEngine() *match.Engine {
 	return match.MustCompile(pats...)
 }
 
-// disableGates is a test hook: the gate-equivalence test re-runs Scan
-// with every gate ignored and asserts identical findings.
-var disableGates = false
-
-// disableEngine is a test hook mirroring disableGates: with it set, Scan
-// routes through the per-detector stdlib regexps (the oracle path) so
-// differential tests can compare the engine against them.
-var disableEngine = false
-
 func buildDetectors() []detector {
-	isDateSep := func(c byte) bool { return c == '/' || c == '-' }
-	at := func(text string, i int) byte {
-		if i < len(text) {
-			return text[i]
-		}
-		return 0
-	}
 	ds := []detector{
 		{
 			kind:    KindEmail,
 			pattern: (`[A-Za-z0-9._%+\-]+@[A-Za-z0-9.\-]+\.[A-Za-z]{2,}`),
-			gate:    func(st *textStats) bool { return st.hasAt },
 			engGate: func(st *textStats) bool { return st.hasAt },
 			validate: func([]string) (string, bool) {
 				return "email", true
@@ -334,11 +151,7 @@ func buildDetectors() []detector {
 		{
 			kind:    KindCreditCard,
 			pattern: (`\b(?:\d[ \-]?){13,19}\b`),
-			gate:    func(st *textStats) bool { return st.digits >= 13 },
 			engGate: func(st *textStats) bool { return st.digits >= 13 },
-			// A match starts with a digit right after \b.
-			trigger: mkTrigger("", isDigit),
-			cand:    startsAtBoundary,
 			validate: func(groups []string) (string, bool) {
 				digits := digitsOnly(groups[0])
 				if len(digits) < 13 || len(digits) > 19 || !luhnValid(digits) {
@@ -355,14 +168,7 @@ func buildDetectors() []detector {
 		{
 			kind:    KindSSN,
 			pattern: (`\b(\d{3})-(\d{2})-(\d{4})\b`),
-			gate:    func(st *textStats) bool { return st.digits >= 9 && st.hasDash },
 			engGate: func(st *textStats) bool { return st.digits >= 9 && st.hasDash },
-			// \b then the fixed shape ddd-.
-			trigger: mkTrigger("", isDigit),
-			cand: func(text string, c int) bool {
-				return startsAtBoundary(text, c) && isDigit(at(text, c+1)) &&
-					isDigit(at(text, c+2)) && at(text, c+3) == '-'
-			},
 			validate: func(groups []string) (string, bool) {
 				area := groups[1]
 				if area == "000" || area == "666" || area >= "900" {
@@ -377,14 +183,7 @@ func buildDetectors() []detector {
 		{
 			kind:    KindEIN,
 			pattern: (`\b(\d{2})-(\d{7})\b`),
-			gate:    func(st *textStats) bool { return st.digits >= 9 && st.hasDash },
 			engGate: func(st *textStats) bool { return st.digits >= 9 && st.hasDash },
-			// \b then the fixed shape dd-.
-			trigger: mkTrigger("", isDigit),
-			cand: func(text string, c int) bool {
-				return startsAtBoundary(text, c) && isDigit(at(text, c+1)) &&
-					at(text, c+2) == '-'
-			},
 			validate: func(groups []string) (string, bool) {
 				return "ein", true
 			},
@@ -393,8 +192,6 @@ func buildDetectors() []detector {
 			kind:    KindPassword,
 			pattern: (`(?i)\b(?:password|passwd|pwd|passphrase)\s*(?:is|:|=)?\s*(\S{3,})`),
 			group:   1,
-			// Every alternation contains "pass" or "pwd".
-			gate: func(st *textStats) bool { return st.keyword("pass", "pwd") },
 			validate: func(groups []string) (string, bool) {
 				if strings.Contains(groups[1], redactSentinel) {
 					return "", false // already-redacted value
@@ -412,7 +209,6 @@ func buildDetectors() []detector {
 			kind:    KindVIN,
 			pattern: (`\b[A-HJ-NPR-Za-hj-npr-z0-9]{17}\b`),
 			// A match is 17 consecutive ASCII alphanumerics.
-			gate:    func(st *textStats) bool { return st.maxAlnmRun >= 17 },
 			engGate: func(st *textStats) bool { return st.maxAlnmRun >= 17 },
 			validate: func(groups []string) (string, bool) {
 				if !vinValid(strings.ToUpper(groups[0])) {
@@ -425,8 +221,6 @@ func buildDetectors() []detector {
 			kind:    KindUsername,
 			pattern: (`(?i)\b(?:username|user name|login|user id|userid)\s*(?:is|:|=)?\s*(\S{2,})`),
 			group:   1,
-			// Every alternation contains "user" or "login".
-			gate: func(st *textStats) bool { return st.keyword("user", "login") },
 			validate: func(groups []string) (string, bool) {
 				if strings.Contains(groups[1], redactSentinel) {
 					return "", false // already-redacted value
@@ -445,14 +239,7 @@ func buildDetectors() []detector {
 			pattern: (`(?i)(?:\bzip(?:\s*code)?\s*(?:is|:|=)?\s*|,\s*[A-Z]{2}\s+)(\d{5}(?:-\d{4})?)\b`),
 			group:   1,
 			// The capture group needs five consecutive digits.
-			gate:    func(st *textStats) bool { return st.maxDigRun >= 5 },
 			engGate: func(st *textStats) bool { return st.maxDigRun >= 5 },
-			// A match starts with "zip" (after \b) or with the comma of the
-			// ", ST " form.
-			trigger: mkTrigger("zZ,", nil),
-			cand: func(text string, c int) bool {
-				return text[c] == ',' || startsAtBoundary(text, c)
-			},
 			validate: func(groups []string) (string, bool) {
 				return "zip", true
 			},
@@ -461,11 +248,6 @@ func buildDetectors() []detector {
 			kind:    KindIDNumber,
 			pattern: (`(?i)\b(?:id|identification|member|account|case|employee|record|mrn|policy)\s*(?:number|num|no\.?|#)?\s*(?:is|:|=)\s*([A-Za-z0-9\-]{4,})`),
 			group:   1,
-			// "id" covers identification; the (?:is|:|=) part is mandatory.
-			gate: func(st *textStats) bool {
-				return st.keyword("id", "member", "account", "case", "employee", "record", "mrn", "policy") &&
-					(st.hasColon || st.hasEq || st.keyword("is"))
-			},
 			validate: func(groups []string) (string, bool) {
 				if strings.Contains(groups[1], redactSentinel) {
 					return "", false // already-redacted value
@@ -476,20 +258,7 @@ func buildDetectors() []detector {
 		{
 			kind:    KindPhone,
 			pattern: (`(?:\+?1[\-. ]?)?(?:\(\d{3}\)\s?|\d{3}[\-. ])\d{3}[\-. ]\d{4}\b`),
-			gate:    func(st *textStats) bool { return st.digits >= 10 },
 			engGate: func(st *textStats) bool { return st.digits >= 10 },
-			// A match starts with '+', '(', the country prefix '1', or a
-			// digit opening the ddd-separator shape (no leading \b here).
-			trigger: mkTrigger("+(", isDigit),
-			cand: func(text string, c int) bool {
-				switch text[c] {
-				case '+', '(', '1':
-					return true
-				}
-				s := at(text, c+3)
-				return isDigit(at(text, c+1)) && isDigit(at(text, c+2)) &&
-					(s == '-' || s == '.' || s == ' ')
-			},
 			validate: func(groups []string) (string, bool) {
 				return "phone", true
 			},
@@ -500,53 +269,10 @@ func buildDetectors() []detector {
 				`|\d{4}-\d{2}-\d{2}` +
 				`|(?:jan|feb|mar|apr|may|jun|jul|aug|sep|oct|nov|dec)[a-z]*\.?\s+\d{1,2}(?:st|nd|rd|th)?,?\s+\d{4})\b`),
 			// Numeric forms need >= 4 digits plus a separator; the month-name
-			// form needs a month keyword and >= 5 digits (day + year).
-			gate: func(st *textStats) bool {
-				if st.digits >= 4 && (st.hasSlash || st.hasDash) {
-					return true
-				}
-				return st.digits >= 5 && st.keyword("jan", "feb", "mar", "apr", "may", "jun",
-					"jul", "aug", "sep", "oct", "nov", "dec")
-			},
-			// The engine's month-literal prefilter replaces the keyword
-			// check; the digit/separator conditions remain (a superset
-			// of gate, so still a sound necessary condition).
+			// form needs >= 5 digits (day + year), its month keyword being
+			// left to the engine's literal prefilter.
 			engGate: func(st *textStats) bool {
 				return st.digits >= 4 && (st.hasSlash || st.hasDash) || st.digits >= 5
-			},
-			// A match starts (after \b) with a digit leading into one of the
-			// numeric shapes, or with a month-name prefix pair. 0xC5 opens
-			// U+017F (ſ), which (?i) folds into 's' for "sep".
-			trigger: mkTrigger("jJfFmMaAsSoOnNdD\xC5", isDigit),
-			cand: func(text string, c int) bool {
-				b := text[c]
-				if b >= 0x80 {
-					return true // Unicode fold start; let the probe decide
-				}
-				if !startsAtBoundary(text, c) {
-					return false
-				}
-				if isDigit(b) {
-					return isDateSep(at(text, c+1)) || isDateSep(at(text, c+2)) ||
-						isDigit(at(text, c+1)) && isDigit(at(text, c+2)) &&
-							isDigit(at(text, c+3)) && at(text, c+4) == '-'
-				}
-				l1 := at(text, c+1) | 0x20
-				switch b | 0x20 {
-				case 'j':
-					return l1 == 'a' || l1 == 'u'
-				case 'f', 's', 'd':
-					return l1 == 'e'
-				case 'm':
-					return l1 == 'a'
-				case 'a':
-					return l1 == 'p' || l1 == 'u'
-				case 'o':
-					return l1 == 'c'
-				case 'n':
-					return l1 == 'o'
-				}
-				return false
 			},
 			validate: func(groups []string) (string, bool) {
 				return "date", true
@@ -555,9 +281,6 @@ func buildDetectors() []detector {
 	}
 	for i := range ds {
 		ds[i].re = regexp.MustCompile(ds[i].pattern)
-		if ds[i].trigger != nil {
-			ds[i].anchored, ds[i].anchored0 = anchor(ds[i].pattern)
-		}
 	}
 	return ds
 }
@@ -571,63 +294,13 @@ func buildDetectors() []detector {
 //
 // All detectors share one multi-pattern engine pass (internal/match):
 // a single scan of the text collects candidate positions for every
-// pattern, and each detector then confirms its candidates. The engine is
-// proven match-for-match equivalent to the per-detector regexps, which
-// stay available behind ScanOracle for differential testing.
+// pattern, and each detector whose engGate holds then confirms its
+// candidates. The result equals ScanOracle's by construction: the
+// engine's FindAll is proven equivalent to each detector regexp's
+// FindAll (internal/match differential suite), engGate only skips a
+// pattern that cannot match, and validation, group selection and
+// ordering are the same code.
 func Scan(text string) []Finding {
-	if disableEngine || disableGates {
-		return scanOracle(text)
-	}
-	return scanEngine(text)
-}
-
-// ScanOracle is Scan on the pre-engine path: per-detector stdlib
-// regexps behind the detector gates. It is the reference the engine
-// path is differentially tested against.
-func ScanOracle(text string) []Finding { return scanOracle(text) }
-
-// scanOracle runs every detector through its own stdlib regexp.
-//
-// Before any regex runs, one pass over the text collects byte-class
-// statistics and each detector's gate checks a necessary condition
-// (a literal trigger byte, a mandatory digit count or run, a keyword
-// from a mandatory alternation). A gate only skips a regex that cannot
-// match, so gating never drops a finding.
-func scanOracle(text string) []Finding {
-	st := computeStats(text)
-	var out []Finding
-	var gbuf [4]string // widest detector has 3 capture groups + whole
-	for i := range detectors {
-		d := &detectors[i]
-		if !disableGates && d.gate != nil && !d.gate(&st) {
-			continue
-		}
-		for _, idx := range d.findAll(text, !disableGates) {
-			groups := submatchInto(gbuf[:0], text, idx)
-			label, ok := "", true
-			if d.validate != nil {
-				label, ok = d.validate(groups)
-			}
-			if !ok {
-				continue
-			}
-			gs, ge := idx[2*d.group], idx[2*d.group+1]
-			//repolint:allow allochot findings are rare; preallocating would charge the identifier-free common path an allocation
-			out = append(out, Finding{
-				Kind: d.kind, Match: text[gs:ge], Start: gs, End: ge, Label: label,
-			})
-		}
-	}
-	sortFindings(out)
-	return out
-}
-
-// scanEngine runs all detectors over one shared engine scan. Equal to
-// scanOracle by construction: the engine's FindAll is proven equivalent
-// to each detector regexp's FindAll (internal/match differential suite),
-// engGate is a weaker necessary condition than gate, and validation,
-// group selection and ordering are the same code.
-func scanEngine(text string) []Finding {
 	st := computeSlimStats(text)
 	var out []Finding
 	var gbuf [4]string // widest detector has 3 capture groups + whole
@@ -653,6 +326,34 @@ func scanEngine(text string) []Finding {
 		})
 	}
 	s.Release()
+	sortFindings(out)
+	return out
+}
+
+// ScanOracle is the plain reference Scan is differentially tested
+// against: each detector's stdlib regexp runs over the whole text
+// (re.FindAllStringSubmatchIndex(text, -1)) and its matches go through
+// validate. Nothing is gated or prefiltered.
+func ScanOracle(text string) []Finding {
+	var out []Finding
+	var gbuf [4]string // widest detector has 3 capture groups + whole
+	for i := range detectors {
+		d := &detectors[i]
+		for _, idx := range d.re.FindAllStringSubmatchIndex(text, -1) {
+			groups := submatchInto(gbuf[:0], text, idx)
+			label, ok := "", true
+			if d.validate != nil {
+				label, ok = d.validate(groups)
+			}
+			if !ok {
+				continue
+			}
+			gs, ge := idx[2*d.group], idx[2*d.group+1]
+			out = append(out, Finding{
+				Kind: d.kind, Match: text[gs:ge], Start: gs, End: ge, Label: label,
+			})
+		}
+	}
 	sortFindings(out)
 	return out
 }
@@ -684,13 +385,6 @@ func KindBit(k Kind) uint16 {
 // validated finding, so presence queries (Table 2 scoring, Figure 6
 // tallies) do not pay for full enumeration.
 func ScanKinds(text string) uint16 {
-	if disableEngine || disableGates {
-		var mask uint16
-		for _, f := range scanOracle(text) {
-			mask |= KindBit(f.Kind)
-		}
-		return mask
-	}
 	st := computeSlimStats(text)
 	var mask uint16
 	var gbuf [4]string
@@ -762,7 +456,7 @@ func (s *Sanitizer) Redact(text string) (string, []Finding) {
 	return s.redact(text, Scan(text))
 }
 
-// RedactOracle is Redact over ScanOracle's findings: the pre-engine
+// RedactOracle is Redact over ScanOracle's findings: the plain
 // redaction path, kept for byte-for-byte differential comparison.
 func (s *Sanitizer) RedactOracle(text string) (string, []Finding) {
 	return s.redact(text, ScanOracle(text))
