@@ -16,7 +16,7 @@ build:
 vet:
 	$(GO) vet ./...
 
-# lint runs the twenty-one paper-invariant analyzers over the whole module
+# lint runs the twenty paper-invariant analyzers over the whole module
 # under the committed ratchet baseline: pre-existing findings recorded
 # in .repolint-baseline.json are suppressed, anything new fails. Exit 1
 # means a new finding, 3 means only a stale waiver, 2 a load failure.

@@ -80,8 +80,8 @@ func main() {
 	}
 	env := <-delivered
 	// Print only values this demo chose itself a few lines up; the
-	// captured envelope stays out of the output so the sanitizeflow
-	// invariant holds even in example code.
+	// captured envelope stays out of the output so keyleak's
+	// sanitize-before-output invariant holds even in example code.
 	fmt.Printf("collected email from alice@example.org to bob@%s (%d bytes sent)\n", typo, len(msg.Bytes()))
 
 	// 6. Classify it through the funnel.

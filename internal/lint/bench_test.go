@@ -4,7 +4,7 @@ import "testing"
 
 // benchFiles is a small but representative module: several packages,
 // cross-package calls, concurrency idioms that exercise the CFG-based
-// analyzers, and one taint source/sink pair for sanitizeflow.
+// analyzers, and one raw-message source/vault sink pair for keyleak.
 var benchFiles = map[string]string{
 	"internal/mailmsg/mailmsg.go": `package mailmsg
 

@@ -59,61 +59,80 @@ func runDeadlineFlow(pass *Pass) {
 	if !pkgInList(pass.Prog.Module, pass.Pkg.Path, deadlineScopePackages) {
 		return
 	}
+	walkDeadlineSites(pass, func(ff *funcFlow, stmt ast.Stmt, call *ast.CallExpr) string {
+		return blockingConnOp(pass, ff, stmt, call)
+	}, func(call *ast.CallExpr, what string) {
+		pass.Reportf(call.Pos(),
+			"blocking %s on a connection is not dominated by a deadline: some path from function entry reaches it without a Set*Deadline/Set*Timeout or a ctx-tied Close (context.AfterFunc)", what)
+	})
+}
+
+// walkDeadlineSites is the dominator walk deadlineflow and
+// sessionproto's deadline facet share. In every function body of the
+// package it collects the deadline definitions and the calls that site
+// labels (label "" means not a site), then calls report for each
+// labelled call that some path from function entry reaches without
+// passing a deadline definition.
+func walkDeadlineSites(pass *Pass, site func(ff *funcFlow, stmt ast.Stmt, call *ast.CallExpr) string, report func(call *ast.CallExpr, label string)) {
 	for _, file := range pass.Pkg.Files {
 		forEachFuncBody(file, func(body *ast.BlockStmt) {
 			ff := newFuncFlow(pass.Pkg, body)
-			type op struct {
-				stmt ast.Stmt
-				call *ast.CallExpr
-				what string
+			type hit struct {
+				stmt  ast.Stmt
+				call  *ast.CallExpr
+				label string
 			}
-			var ops []op
-			dominators := make(map[ast.Stmt]bool)
+			var hits []hit
+			defs := make(map[ast.Stmt]bool)
 			shallowNodesWithStmt(body, ff.g, func(stmt ast.Stmt, n ast.Node) {
 				call, ok := n.(*ast.CallExpr)
 				if !ok || stmt == nil {
 					return
 				}
 				if isDeadlineDefinition(pass, call) {
-					dominators[stmt] = true
-					return
-				}
-				if what := blockingConnOp(pass, ff, stmt, call); what != "" {
-					ops = append(ops, op{stmt, call, what})
+					defs[stmt] = true
+				} else if label := site(ff, stmt, call); label != "" {
+					hits = append(hits, hit{stmt, call, label})
 				}
 			})
-			if len(ops) == 0 {
-				return
-			}
-			for _, o := range ops {
-				if stmtPathAvoiding(ff.g, nil, o.stmt, dominators) {
-					pass.Reportf(o.call.Pos(),
-						"blocking %s on a connection is not dominated by a deadline: some path from function entry reaches it without a Set*Deadline/Set*Timeout or a ctx-tied Close (context.AfterFunc)", o.what)
+			for _, h := range hits {
+				if stmtPathAvoiding(ff.g, nil, h.stmt, defs) {
+					report(h.call, h.label)
 				}
 			}
 		})
 	}
 }
 
-// isDeadlineDefinition: does this call establish a deadline regime? A
-// Set*Deadline/Set*Timeout method call, an AfterFunc scheduling a
-// Close, or an in-module helper (one level) containing either.
+// isDeadlineDefinition: does this call establish a deadline regime?
+// setsDeadline, or an in-module helper whose own body does (one level).
 func isDeadlineDefinition(pass *Pass, call *ast.CallExpr) bool {
-	info := pass.Pkg.Info
+	if setsDeadline(pass.Pkg.Info, call) {
+		return true
+	}
+	fn := inModuleCallee(pass.Prog, pass.Pkg.Info, call)
+	return fn != nil && deadlineDepth(pass.Prog, fn) == 1
+}
+
+// setsDeadline: is call a Set*Deadline/Set*Timeout method call, or a
+// context/time AfterFunc scheduling a Close?
+func setsDeadline(info *types.Info, call *ast.CallExpr) bool {
 	if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok && deadlineSetterNames[sel.Sel.Name] {
 		return true
 	}
 	fn := calleeFunc(info, call)
-	if fn == nil {
-		return false
+	return fn != nil && fn.Name() == "AfterFunc" &&
+		(isPkgPath(fn.Pkg(), "context") || isPkgPath(fn.Pkg(), "time")) && afterFuncCloses(call)
+}
+
+// inModuleCallee returns call's static callee when this module declares
+// it, else nil.
+func inModuleCallee(prog *Program, info *types.Info, call *ast.CallExpr) *types.Func {
+	fn := calleeFunc(info, call)
+	if fn == nil || fn.Pkg() == nil || !strings.HasPrefix(fn.Pkg().Path(), prog.Module) {
+		return nil
 	}
-	if (isPkgPath(fn.Pkg(), "context") || isPkgPath(fn.Pkg(), "time")) && fn.Name() == "AfterFunc" {
-		return afterFuncCloses(call)
-	}
-	if pkg := fn.Pkg(); pkg != nil && strings.HasPrefix(pkg.Path(), pass.Prog.Module) {
-		return calleeSetsDeadline(pass, fn)
-	}
-	return false
+	return fn
 }
 
 // afterFuncCloses: does the function argument of the AfterFunc call a
@@ -143,49 +162,61 @@ func afterFuncCloses(call *ast.CallExpr) bool {
 	return closes
 }
 
-// deadlineSummaries caches per-callee "contains a deadline definition".
+// maxDeadlineDepth bounds the deadline summary. sessionproto accepts an
+// event method whose setter sits up to three calls deep: smtpc's cmd
+// needs two (cmd → writeLine → SetWriteDeadline).
+const maxDeadlineDepth = 3
+
+// deadlineSummaries caches deadlineDepth per function.
 type deadlineSummaries struct {
-	mu sync.Mutex
-	m  map[*types.Func]bool
+	mu    sync.Mutex
+	depth map[*types.Func]int
 }
 
-func calleeSetsDeadline(pass *Pass, fn *types.Func) bool {
-	sums := pass.Prog.analyzerState("deadlineflow.summaries", func() any {
-		return &deadlineSummaries{m: make(map[*types.Func]bool)}
+// deadlineDepth is the "callee sets a deadline" summary deadlineflow and
+// sessionproto share: the fewest function bodies from fn's to one that
+// contains a setsDeadline call — 1 when fn's own body (closures
+// included) does, 2 when an in-module function it calls does, and so
+// on up to maxDeadlineDepth; 0 when none does within that bound.
+// deadlineflow accepts a helper at depth 1, sessionproto an event
+// method at any depth.
+func deadlineDepth(prog *Program, fn *types.Func) int {
+	sums := prog.analyzerState("deadline.summaries", func() any {
+		return &deadlineSummaries{depth: make(map[*types.Func]int)}
 	}).(*deadlineSummaries)
 	sums.mu.Lock()
-	cached, ok := sums.m[fn]
+	d, ok := sums.depth[fn]
 	sums.mu.Unlock()
 	if ok {
-		return cached
+		return d
 	}
-	sets := false
-	if _, decl := declOf(pass.Prog, fn); decl != nil && decl.Body != nil {
-		ast.Inspect(decl.Body, func(n ast.Node) bool {
-			if sets {
-				return false
+	seen := map[*types.Func]bool{fn: true}
+	level := []*types.Func{fn}
+	for depth := 1; d == 0 && depth <= maxDeadlineDepth; depth++ {
+		var next []*types.Func
+		for _, f := range level {
+			declPkg, decl := declOf(prog, f)
+			if decl == nil || decl.Body == nil {
+				continue
 			}
-			call, ok := n.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
-				if deadlineSetterNames[sel.Sel.Name] {
-					sets = true
-					return false
+			ast.Inspect(decl.Body, func(n ast.Node) bool {
+				if call, ok := n.(*ast.CallExpr); ok && d == 0 {
+					if setsDeadline(declPkg.Info, call) {
+						d = depth
+					} else if c := inModuleCallee(prog, declPkg.Info, call); c != nil && !seen[c] {
+						seen[c] = true
+						next = append(next, c)
+					}
 				}
-				if sel.Sel.Name == "AfterFunc" && afterFuncCloses(call) {
-					sets = true
-					return false
-				}
-			}
-			return true
-		})
+				return d == 0
+			})
+		}
+		level = next
 	}
 	sums.mu.Lock()
-	sums.m[fn] = sets
+	sums.depth[fn] = d
 	sums.mu.Unlock()
-	return sets
+	return d
 }
 
 // blockingConnOp classifies call as a blocking socket operation and

@@ -400,6 +400,7 @@ func Bump() {
 	for _, tc := range cases {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
+			t.Parallel()
 			dir := writeTree(t, tc.files)
 			got := runFixture(t, dir, tc.analyzer)
 			if len(got) != tc.count {
@@ -494,6 +495,7 @@ var _ = simclock.Start`,
 	for _, m := range mutations {
 		m := m
 		t.Run(m.name, func(t *testing.T) {
+			t.Parallel()
 			files := make(map[string]string, len(pureParMutationBase))
 			for k, v := range pureParMutationBase {
 				files[k] = v

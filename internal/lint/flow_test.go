@@ -601,6 +601,39 @@ func Banner(conn net.Conn) ([]byte, error) {
 			count: 0,
 		},
 		{
+			name:     "deadlineflow counts a helper that sets the deadline itself, not one two calls down",
+			analyzer: "deadlineflow",
+			files: map[string]string{
+				"internal/probe/p.go": `package probe
+
+import (
+	"net"
+	"time"
+)
+
+func arm(conn net.Conn) { conn.SetReadDeadline(time.Now().Add(time.Second)) }
+
+func armVia(conn net.Conn) { arm(conn) }
+
+func Banner(conn net.Conn) ([]byte, error) {
+	arm(conn)
+	buf := make([]byte, 64)
+	n, err := conn.Read(buf)
+	return buf[:n], err
+}
+
+func Greeting(conn net.Conn) ([]byte, error) {
+	armVia(conn)
+	buf := make([]byte, 64)
+	n, err := conn.Read(buf)
+	return buf[:n], err
+}
+`,
+			},
+			want:  []string{"internal/probe/p.go:22: [deadlineflow]", "blocking Read on a connection is not dominated by a deadline"},
+			count: 1,
+		},
+		{
 			name:     "deadlineflow waiver suppresses and is not stale",
 			analyzer: "deadlineflow",
 			files: map[string]string{
@@ -669,6 +702,7 @@ func Cleanup(path string) error {
 	for _, tc := range cases {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
+			t.Parallel()
 			dir := writeTree(t, tc.files)
 			got := runFixture(t, dir, tc.analyzer)
 			if len(got) != tc.count {
@@ -996,6 +1030,7 @@ func Render(ids []int) []string {
 	for _, tc := range cases {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
+			t.Parallel()
 			dir := writeTree(t, tc.files)
 			got := runFixture(t, dir, tc.analyzer)
 			if len(got) != tc.count {

@@ -11,13 +11,13 @@ import (
 )
 
 // KeyLeakAnalyzer enforces the paper's §4.1/§4.2.2 exposure contract on
-// every output channel, not just the vault boundary sanitizeflow
-// guards: vault key material, raw honeytokens, and pre-sanitize email
-// content or addresses must not reach the process log, stdout/stderr,
-// error strings, network writes, or plaintext files. The only blessed
-// escapes are the internal/sanitize seam and the crypto seams (hashing
-// a value before showing it is exactly the hashed-token-only reporting
-// rule).
+// every output channel: vault key material, raw honeytokens, and
+// pre-sanitize email content or addresses must not reach the encrypted
+// vault (vault.Put stores what the sanitizer produced, never a raw
+// capture), the process log, stdout/stderr, error strings, network
+// writes, or plaintext files. The only blessed escapes are the
+// internal/sanitize seam and the crypto seams (hashing a value before
+// showing it is exactly the hashed-token-only reporting rule).
 //
 // The analysis runs on the cfg package's value-propagation layer:
 // provenance tags spring from typed sources (vault.Key, honey.Token and
@@ -31,7 +31,7 @@ import (
 // deep is reported at the call site that handed the value in.
 var KeyLeakAnalyzer = &Analyzer{
 	Name: "keyleak",
-	Doc:  "flags vault key material, raw honeytokens, and pre-sanitize email/address values reaching log, stream, error-string, network or file sinks outside the sanitize and crypto seams",
+	Doc:  "flags vault key material, raw honeytokens, and pre-sanitize email/address values reaching vault, log, stream, error-string, network or file sinks outside the sanitize and crypto seams",
 	Run:  runKeyleak,
 }
 
@@ -52,14 +52,22 @@ var keyleakNoun = map[string]string{
 	tagRawAddr:    "a pre-sanitize address value",
 }
 
+// rawMessageTypes are the module-relative package and type names whose
+// values carry unsanitized captured content.
+var rawMessageTypes = map[string][]string{
+	"internal/mailmsg":    {"Message", "Attachment"},
+	"internal/smtpd":      {"Envelope"},
+	"internal/spamfilter": {"Email"},
+}
+
 // rawFieldTags is the field-sensitivity table: for each raw struct, the
 // content-bearing fields and the tag they carry. Any other field of the
 // same struct (study domains, timestamps, TLS state) is metadata and
 // reads clean.
 var rawFieldTags = map[string]map[string]string{
 	"internal/mailmsg.Message": {
-		"Body": tagRawEmail, "HTMLBody": tagRawEmail, "Attachments": tagRawEmail,
-		"header": tagRawEmail,
+		"Subject": tagRawEmail, "Body": tagRawEmail, "HTMLBody": tagRawEmail,
+		"Attachments": tagRawEmail, "header": tagRawEmail,
 	},
 	"internal/mailmsg.Attachment": {
 		"Filename": tagRawEmail, "Data": tagRawEmail,
@@ -86,15 +94,19 @@ var honeyTokenTypes = map[string]bool{
 
 // keyleakExemptPackages (module-relative) handle the protected values
 // by design and are neither reporting targets nor summary sources: the
-// vault owns the key, the sanitizer owns raw content, and the SMTP
-// client is the experiment's transmission boundary — writing message
-// bytes to the wire is its entire purpose (§3 probe sending), so its
-// conn writes are a seam, not a leak.
+// vault owns the key and the sanitizer owns raw content.
 var keyleakExemptPackages = []string{
 	"internal/vault",
 	"internal/sanitize",
-	"internal/smtpc",
 }
+
+// keyleakWirePackage is the SMTP client, the experiment's transmission
+// boundary: writing message bytes to the wire is its entire purpose
+// (§3 probe sending), so its connection writes are a seam, not a leak,
+// and so are the errors that report that SMTP exchange (the dialed
+// address, a refused recipient, the server's reply). Its log, stdout,
+// file and vault sinks are checked like any other package's.
+const keyleakWirePackage = "internal/smtpc"
 
 func runKeyleak(pass *Pass) {
 	if pkgInList(pass.Prog.Module, pass.Pkg.Path, keyleakExemptPackages) {
@@ -564,7 +576,11 @@ func (st *keyleakState) sinkArgs(pkg *Package, fn *types.Func, call *ast.CallExp
 		return "", nil
 	}
 	name := fn.Name()
+	wire := pkgInList(st.prog.Module, pkg.Path, []string{keyleakWirePackage})
 	switch {
+	case isPkgPath(fn.Pkg(), st.vaultPkg) && name == "Put" && len(call.Args) > 0:
+		// Put(domain, verdict string, received time.Time, plaintext []byte)
+		return "the encrypted vault (vault.Put)", call.Args[len(call.Args)-1:]
 	case isPkgPath(fn.Pkg(), "log"):
 		switch name {
 		case "Print", "Printf", "Println", "Fatal", "Fatalf", "Fatalln",
@@ -576,19 +592,21 @@ func (st *keyleakState) sinkArgs(pkg *Package, fn *types.Func, call *ast.CallExp
 		case "Print", "Printf", "Println":
 			return "stdout (fmt." + name + ")", call.Args
 		case "Fprint", "Fprintf", "Fprintln":
-			if len(call.Args) > 0 && (isStdStream(info, call.Args[0]) || hasSetDeadline(typeOf(info, call.Args[0]))) {
+			if len(call.Args) > 0 && (isStdStream(info, call.Args[0]) || !wire && hasSetDeadline(typeOf(info, call.Args[0]))) {
 				return "a stream or connection write (fmt." + name + ")", call.Args[1:]
 			}
 		case "Errorf":
-			return "an error string (fmt.Errorf)", call.Args
+			if !wire {
+				return "an error string (fmt.Errorf)", call.Args
+			}
 		}
-	case isPkgPath(fn.Pkg(), "errors") && name == "New":
+	case isPkgPath(fn.Pkg(), "errors") && name == "New" && !wire:
 		return "an error string (errors.New)", call.Args
 	case isPkgPath(fn.Pkg(), "os") && name == "WriteFile":
 		if len(call.Args) >= 2 {
 			return "a plaintext file (os.WriteFile)", call.Args[1:2]
 		}
-	case name == "Write" || name == "WriteString":
+	case !wire && (name == "Write" || name == "WriteString"):
 		// Conn/file writes: any receiver with a SetDeadline method (net
 		// conns, *os.File, the faultnet wrappers).
 		if recv := recvOperand(call); recv != nil && hasSetDeadline(typeOf(info, recv)) && len(call.Args) >= 1 {
@@ -596,6 +614,52 @@ func (st *keyleakState) sinkArgs(pkg *Package, fn *types.Func, call *ast.CallExp
 		}
 	}
 	return "", nil
+}
+
+// isStdStream reports whether e is os.Stdout or os.Stderr.
+func isStdStream(info *types.Info, e ast.Expr) bool {
+	sel, ok := ast.Unparen(e).(*ast.SelectorExpr)
+	if !ok {
+		return false
+	}
+	obj, ok := info.Uses[sel.Sel]
+	if !ok || obj.Pkg() == nil {
+		return false
+	}
+	return obj.Pkg().Path() == "os" && (obj.Name() == "Stdout" || obj.Name() == "Stderr")
+}
+
+// carrierType reports whether t can carry message content onward:
+// strings, byte slices, and containers of them.
+func carrierType(t types.Type) bool {
+	switch u := t.(type) {
+	case nil:
+		return false
+	case *types.Basic:
+		return u.Info()&types.IsString != 0
+	case *types.Slice:
+		return isByte(u.Elem()) || carrierType(u.Elem())
+	case *types.Array:
+		return isByte(u.Elem()) || carrierType(u.Elem())
+	case *types.Map:
+		return carrierType(u.Elem())
+	case *types.Pointer:
+		return carrierType(u.Elem())
+	case *types.Named:
+		return carrierType(u.Underlying())
+	case *types.Tuple:
+		for i := 0; i < u.Len(); i++ {
+			if carrierType(u.At(i).Type()) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+func isByte(t types.Type) bool {
+	b, ok := t.Underlying().(*types.Basic)
+	return ok && (b.Kind() == types.Byte || b.Kind() == types.Uint8)
 }
 
 // isCryptoSeam reports whether pkg is one of the hashing/crypto

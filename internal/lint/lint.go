@@ -80,7 +80,7 @@ type Program struct {
 // analyzerState returns the per-Program state stored under key,
 // computing it with build on first use. Analyzer passes run
 // concurrently across packages, so whole-module analyses (lockorder,
-// sanitizeflow's taint summaries) must keep their shared state here
+// keyleak's taint summaries) must keep their shared state here
 // rather than in package-level variables.
 func (p *Program) analyzerState(key string, build func() any) any {
 	p.stateMu.Lock()
@@ -139,7 +139,6 @@ type Analyzer struct {
 // Analyzers returns the full registry in reporting order.
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
-		SanitizeFlowAnalyzer,
 		MutexCopyAnalyzer,
 		CtxLeakAnalyzer,
 		ErrDropAnalyzer,
@@ -367,6 +366,13 @@ func calleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {
 func isConversion(info *types.Info, call *ast.CallExpr) bool {
 	tv, ok := info.Types[call.Fun]
 	return ok && tv.IsType()
+}
+
+func typeOf(info *types.Info, e ast.Expr) types.Type {
+	if tv, ok := info.Types[e]; ok {
+		return tv.Type
+	}
+	return nil
 }
 
 // funcResults returns the result tuple of the called function, or nil.

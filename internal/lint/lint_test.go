@@ -9,8 +9,8 @@ import (
 
 const goMod = "module repro\n\ngo 1.22\n"
 
-// Stub packages giving the sanitizeflow fixtures the module-relative
-// paths the analyzer keys on. Behavior is irrelevant — only package
+// Stub packages giving the sanitize-rule fixtures the module-relative
+// paths keyleak keys on. Behavior is irrelevant — only package
 // paths, type names and signatures matter to the analysis.
 var sanitizeStubs = map[string]string{
 	"internal/mailmsg/mailmsg.go": `package mailmsg
@@ -100,7 +100,7 @@ func TestAnalyzers(t *testing.T) {
 	}{
 		{
 			name:     "sanitizeflow flags raw body reaching log",
-			analyzer: "sanitizeflow",
+			analyzer: "keyleak",
 			files: merge(sanitizeStubs, map[string]string{
 				"internal/collect/collect.go": `package collect
 
@@ -115,12 +115,12 @@ func Record(m *mailmsg.Message) {
 }
 `,
 			}),
-			want:  []string{"internal/collect/collect.go:10: [sanitizeflow]", "the process log (log.Printf)"},
+			want:  []string{"internal/collect/collect.go:10: [keyleak]", "the process log (log.Printf)"},
 			count: 1,
 		},
 		{
 			name:     "sanitizeflow accepts sanitized value",
-			analyzer: "sanitizeflow",
+			analyzer: "keyleak",
 			files: merge(sanitizeStubs, map[string]string{
 				"internal/collect/collect.go": `package collect
 
@@ -140,7 +140,7 @@ func Record(m *mailmsg.Message) {
 		},
 		{
 			name:     "sanitizeflow flags raw bytes reaching vault.Put",
-			analyzer: "sanitizeflow",
+			analyzer: "keyleak",
 			files: merge(sanitizeStubs, map[string]string{
 				"internal/collect/collect.go": `package collect
 
@@ -154,12 +154,12 @@ func Store(v *vault.Vault, m *mailmsg.Message) error {
 }
 `,
 			}),
-			want:  []string{"[sanitizeflow]", "the encrypted vault (vault.Put)"},
+			want:  []string{"internal/collect/collect.go:9: [keyleak]", "the encrypted vault (vault.Put)"},
 			count: 1,
 		},
 		{
 			name:     "sanitizeflow traces taint through a helper call",
-			analyzer: "sanitizeflow",
+			analyzer: "keyleak",
 			files: merge(sanitizeStubs, map[string]string{
 				"internal/collect/collect.go": `package collect
 
@@ -178,7 +178,88 @@ func Record(m *mailmsg.Message) {
 }
 `,
 			}),
-			want:  []string{"internal/collect/collect.go:14: [sanitizeflow]", "tainted value flows into emit"},
+			want:  []string{"internal/collect/collect.go:14: [keyleak]", "flows into emit, which passes it to the process log (log.Print)"},
+			count: 1,
+		},
+		{
+			name:     "keyleak follows a raw body through a helper into vault.Put",
+			analyzer: "keyleak",
+			files: merge(sanitizeStubs, map[string]string{
+				"internal/collect/collect.go": `package collect
+
+import (
+	"repro/internal/mailmsg"
+	"repro/internal/vault"
+)
+
+func store(v *vault.Vault, plaintext []byte) error {
+	return v.Put("gmial.com", "typo", plaintext)
+}
+
+func Record(v *vault.Vault, m *mailmsg.Message) error {
+	return store(v, []byte(m.Body))
+}
+`,
+			}),
+			want:  []string{"internal/collect/collect.go:13: [keyleak]", "flows into store, which passes it to the encrypted vault (vault.Put)"},
+			count: 1,
+		},
+		{
+			name:     "keyleak still checks log sinks inside internal/smtpc",
+			analyzer: "keyleak",
+			files: merge(sanitizeStubs, map[string]string{
+				"internal/smtpc/smtpc.go": `package smtpc
+
+import (
+	"log"
+
+	"repro/internal/mailmsg"
+)
+
+func Trace(m *mailmsg.Message) {
+	log.Printf("sending %s", m.Body)
+}
+`,
+			}),
+			want:  []string{"internal/smtpc/smtpc.go:10: [keyleak]", "the process log (log.Printf)"},
+			count: 1,
+		},
+		{
+			name:     "keyleak exempts connection writes inside internal/smtpc only",
+			analyzer: "keyleak",
+			files: merge(sanitizeStubs, map[string]string{
+				"internal/smtpc/smtpc.go": `package smtpc
+
+import (
+	"fmt"
+	"net"
+
+	"repro/internal/mailmsg"
+)
+
+func Send(conn net.Conn, m *mailmsg.Message) error {
+	if _, err := conn.Write([]byte(m.Body)); err != nil {
+		return err
+	}
+	_, err := fmt.Fprintf(conn, "%s\r\n.\r\n", m.Body)
+	return err
+}
+`,
+				"internal/collect/collect.go": `package collect
+
+import (
+	"net"
+
+	"repro/internal/mailmsg"
+)
+
+func Forward(conn net.Conn, m *mailmsg.Message) error {
+	_, err := conn.Write([]byte(m.Body))
+	return err
+}
+`,
+			}),
+			want:  []string{"internal/collect/collect.go:10: [keyleak]", "a network or file write (Write)"},
 			count: 1,
 		},
 		{
@@ -396,6 +477,7 @@ func Cleanup(path string) {
 	for _, tc := range cases {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
+			t.Parallel()
 			dir := writeTree(t, tc.files)
 			got := runFixture(t, dir, tc.analyzer)
 			if len(got) != tc.count {

@@ -18,8 +18,8 @@ import (
 //
 // Interprocedural analyses seed every parameter of a function with a
 // distinct synthetic "param:i" tag in a single propagation pass (the
-// receiver is index -1), instead of sanitizeflow's one-seeded-run per
-// parameter. A sink hit carrying a param tag becomes a function summary
+// receiver is index -1), instead of one seeded run per parameter. A
+// sink hit carrying a param tag becomes a function summary
 // ("parameter i flows to this sink"); a hit carrying a real provenance
 // tag is an intrinsic finding reported in the function's own package.
 // The two never mix, so call sites report only the taint the caller

@@ -6,7 +6,6 @@ import (
 	"go/token"
 	"go/types"
 	"strings"
-	"sync"
 )
 
 // SessionProtoAnalyzer (L5) checks SMTP session ordering on both ends
@@ -117,55 +116,30 @@ func smtpServerEvent(_ *Pass, _ *ast.CallExpr, method string) string {
 
 // runSessionDeadlines is the deadline facet: every session-event call
 // site on the tracked connection type must either have a callee that
-// transitively (three levels) reaches a Set*Deadline/Set*Timeout or an
-// AfterFunc-close, or be dominated by a deadline definition in the
-// calling function (the deadlineflow dominator notion).
+// reaches a Set*Deadline/Set*Timeout or an AfterFunc-close within three
+// calls (deadlineDepth), or be dominated by a deadline definition in the
+// calling function (the deadlineflow dominator walk).
 func runSessionDeadlines(pass *Pass, typeName string, eventOf func(*Pass, *ast.CallExpr, string) string) {
-	for _, file := range pass.Pkg.Files {
-		forEachFuncBody(file, func(body *ast.BlockStmt) {
-			ff := newFuncFlow(pass.Pkg, body)
-			type site struct {
-				stmt ast.Stmt
-				call *ast.CallExpr
-				ev   string
-				fn   *types.Func
-			}
-			var sites []site
-			dominators := make(map[ast.Stmt]bool)
-			shallowNodesWithStmt(body, ff.g, func(stmt ast.Stmt, n ast.Node) {
-				call, ok := n.(*ast.CallExpr)
-				if !ok || stmt == nil {
-					return
-				}
-				if isDeadlineDefinition(pass, call) {
-					dominators[stmt] = true
-					return
-				}
-				sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-				if !ok || !namedTypeIs(typeOf(pass.Pkg.Info, sel.X), pass.Pkg.Path, typeName) {
-					return
-				}
-				if ev := eventOf(pass, call, sel.Sel.Name); ev != "" {
-					sites = append(sites, site{stmt, call, ev, calleeFunc(pass.Pkg.Info, call)})
-				}
-			})
-			for _, s := range sites {
-				if s.fn != nil && sessionMethodSetsDeadline(pass, s.fn) {
-					continue
-				}
-				if !stmtPathAvoiding(ff.g, nil, s.stmt, dominators) {
-					continue // dominated by a deadline definition
-				}
-				name := "the callee"
-				if s.fn != nil {
-					name = displayCallee(s.fn)
-				}
-				pass.Reportf(s.call.Pos(),
-					"session event %q is not covered by a phase deadline: %s neither sets a Set*Deadline/Set*Timeout itself (three calls deep) nor is dominated by one in the caller",
-					s.ev, name)
-			}
-		})
-	}
+	info := pass.Pkg.Info
+	walkDeadlineSites(pass, func(_ *funcFlow, _ ast.Stmt, call *ast.CallExpr) string {
+		sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
+		if !ok || !namedTypeIs(typeOf(info, sel.X), pass.Pkg.Path, typeName) {
+			return ""
+		}
+		ev := eventOf(pass, call, sel.Sel.Name)
+		if fn := calleeFunc(info, call); ev != "" && fn != nil && deadlineDepth(pass.Prog, fn) > 0 {
+			return ""
+		}
+		return ev
+	}, func(call *ast.CallExpr, ev string) {
+		name := "the callee"
+		if fn := calleeFunc(info, call); fn != nil {
+			name = displayCallee(fn)
+		}
+		pass.Reportf(call.Pos(),
+			"session event %q is not covered by a phase deadline: %s neither sets a Set*Deadline/Set*Timeout itself (three calls deep) nor is dominated by one in the caller",
+			ev, name)
+	})
 }
 
 // namedTypeIs: t (possibly behind one pointer) is the named type
@@ -182,72 +156,4 @@ func namedTypeIs(t types.Type, pkgPath, typeName string) bool {
 		return false
 	}
 	return named.Obj().Pkg().Path() == pkgPath && named.Obj().Name() == typeName
-}
-
-// sessionDeadlineSummaries caches the top-level recursive answer per
-// method.
-type sessionDeadlineSummaries struct {
-	mu sync.Mutex
-	m  map[*types.Func]bool
-}
-
-// sessionMethodSetsDeadline: fn's body reaches a deadline setter (or
-// AfterFunc-close) within three levels of in-module calls. smtpc's cmd
-// needs two (cmd → writeLine → SetWriteDeadline), which is why the
-// deadlineflow one-level summary is not reused here.
-func sessionMethodSetsDeadline(pass *Pass, fn *types.Func) bool {
-	sums := pass.Prog.analyzerState("sessionproto.deadlines", func() any {
-		return &sessionDeadlineSummaries{m: make(map[*types.Func]bool)}
-	}).(*sessionDeadlineSummaries)
-	sums.mu.Lock()
-	cached, ok := sums.m[fn]
-	sums.mu.Unlock()
-	if ok {
-		return cached
-	}
-	sets := methodSetsDeadlineRec(pass, fn, 3, make(map[*types.Func]bool))
-	sums.mu.Lock()
-	sums.m[fn] = sets
-	sums.mu.Unlock()
-	return sets
-}
-
-func methodSetsDeadlineRec(pass *Pass, fn *types.Func, depth int, seen map[*types.Func]bool) bool {
-	if fn == nil || depth == 0 || seen[fn] {
-		return false
-	}
-	seen[fn] = true
-	declPkg, decl := declOf(pass.Prog, fn)
-	if decl == nil || decl.Body == nil {
-		return false
-	}
-	found := false
-	ast.Inspect(decl.Body, func(n ast.Node) bool {
-		if found {
-			return false
-		}
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
-			if deadlineSetterNames[sel.Sel.Name] {
-				found = true
-				return false
-			}
-			if sel.Sel.Name == "AfterFunc" && afterFuncCloses(call) {
-				found = true
-				return false
-			}
-		}
-		callee := calleeFunc(declPkg.Info, call)
-		if callee != nil && callee.Pkg() != nil && strings.HasPrefix(callee.Pkg().Path(), pass.Prog.Module) {
-			if methodSetsDeadlineRec(pass, callee, depth-1, seen) {
-				found = true
-				return false
-			}
-		}
-		return true
-	})
-	return found
 }

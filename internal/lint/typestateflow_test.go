@@ -446,6 +446,55 @@ func banner(conn net.Conn) error {
 			count: 0,
 		},
 		{
+			name:     "sessionproto deadline facet finds a setter three calls down, not four",
+			analyzer: "sessionproto",
+			files: map[string]string{
+				"internal/smtpc/smtpc.go": `package smtpc
+
+import (
+	"net"
+	"time"
+)
+
+type textConn struct {
+	conn net.Conn
+}
+
+func (t *textConn) arm()     { t.conn.SetReadDeadline(time.Now().Add(time.Second)) }
+func (t *textConn) prepare() { t.arm() }
+func (t *textConn) fill()    { t.prepare() }
+
+func (t *textConn) readReply() (int, error) {
+	t.prepare()
+	buf := make([]byte, 1)
+	_, err := t.conn.Read(buf)
+	return 220, err
+}
+
+func (t *textConn) readMultiReply() ([]string, error) {
+	t.fill()
+	buf := make([]byte, 1)
+	_, err := t.conn.Read(buf)
+	return nil, err
+}
+
+func banner(conn net.Conn) error {
+	t := &textConn{conn: conn}
+	_, err := t.readReply()
+	return err
+}
+
+func multiBanner(conn net.Conn) error {
+	t := &textConn{conn: conn}
+	_, err := t.readMultiReply()
+	return err
+}
+`,
+			},
+			want:  []string{"internal/smtpc/smtpc.go:38: [sessionproto]", `session event "read" is not covered by a phase deadline: smtpc.textConn.readMultiReply`},
+			count: 1,
+		},
+		{
 			name:     "streamidx flags two literal claims of one stream index",
 			analyzer: "streamidx",
 			files: merge(parTypestateStub, map[string]string{
@@ -536,6 +585,7 @@ func Derive(seed int64, chunks [][]int) []int64 {
 	for _, tc := range cases {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
+			t.Parallel()
 			dir := writeTree(t, tc.files)
 			got := runFixture(t, dir, tc.analyzer)
 			if len(got) != tc.count {

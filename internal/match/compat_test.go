@@ -68,6 +68,7 @@ var adversarialInputs = []string{
 	"a@b.co",                 // minimal email at boundaries
 	"joe@ex.com jane@ex.org", // multiple matches, backwalk
 	"@@@@a@b.cc@d.ee",        // pathological backwalk anchors
+	"0@0.AA0@0.AA",           // second backwalk run starts where the first match ends
 	"call 412-268-3000 now",  // phone
 	"(412) 268 3000",         // phone alt branch
 	"dec 14, 2016 and 12/14/2016 and 2016-12-14",

@@ -136,8 +136,27 @@ type Scan struct {
 	e     *Engine
 	text  string
 	ring  []int32
-	cands [][]int32
+	cands [][]cand
 	ready []bool
+}
+
+// cand is one candidate match start: a match may begin at any offset
+// in [at, last]. Offset-window and first-byte candidates stand for
+// their own offset only (last == at); a backwalk candidate stands for
+// every offset from the walk's end up to its literal, so a previous
+// match that ends inside that run still leaves a start at its end.
+type cand struct{ at, last int32 }
+
+// from returns where to probe c given that matches resume at resume,
+// or -1 when c lies wholly before resume.
+func (c cand) from(resume int) int {
+	switch {
+	case int(c.at) >= resume:
+		return int(c.at)
+	case int(c.last) >= resume:
+		return resume
+	}
+	return -1
 }
 
 func (e *Engine) newScan() *Scan {
@@ -148,7 +167,7 @@ func (e *Engine) newScan() *Scan {
 	return &Scan{
 		e:     e,
 		ring:  make([]int32, ringSize),
-		cands: make([][]int32, len(e.pats)),
+		cands: make([][]cand, len(e.pats)),
 		ready: make([]bool, len(e.pats)),
 	}
 }
@@ -191,7 +210,7 @@ func (s *Scan) emit(lit, start int32) {
 		if m.first != nil && !m.first[text[q]] {
 			return
 		}
-		s.cands[m.pat] = append(s.cands[m.pat], q)
+		s.cands[m.pat] = append(s.cands[m.pat], cand{q, start})
 		return
 	}
 	hi := start - m.minPre
@@ -209,14 +228,14 @@ func (s *Scan) emit(lit, start int32) {
 		if m.needNW && q > 0 && isWordByte(text[q-1]) {
 			continue
 		}
-		s.cands[m.pat] = append(s.cands[m.pat], q)
+		s.cands[m.pat] = append(s.cands[m.pat], cand{q, q})
 	}
 }
 
 // prepare finalises the candidate list for pattern id: first-byte
 // patterns scan lazily (they are usually behind caller-side gates),
 // factor patterns sort and dedup what the AC pass emitted.
-func (s *Scan) prepare(id int) []int32 {
+func (s *Scan) prepare(id int) []cand {
 	if s.ready[id] {
 		return s.cands[id]
 	}
@@ -231,29 +250,32 @@ func (s *Scan) prepare(id int) []int32 {
 				if p.needNW && i > 0 && isWordByte(text[i-1]) {
 					continue
 				}
-				c = append(c, int32(i))
+				c = append(c, cand{int32(i), int32(i)})
 			}
 		}
 		s.cands[id] = c
 	case modeBOT:
-		s.cands[id] = append(s.cands[id][:0], 0)
+		s.cands[id] = append(s.cands[id][:0], cand{})
 	case modeFactors:
 		c := s.cands[id]
 		sorted := true
 		for i := 1; i < len(c); i++ {
-			if c[i] < c[i-1] {
+			if c[i].at < c[i-1].at {
 				sorted = false
 				break
 			}
 		}
 		if !sorted {
-			sort.Slice(c, func(i, j int) bool { return c[i] < c[j] })
+			sort.Slice(c, func(i, j int) bool { return c[i].at < c[j].at })
 		}
 		w := 0
 		for i := 0; i < len(c); i++ {
-			if w == 0 || c[i] != c[w-1] {
+			switch {
+			case w == 0 || c[i].at != c[w-1].at:
 				c[w] = c[i]
 				w++
+			case c[i].last > c[w-1].last:
+				c[w-1].last = c[i].last
 			}
 		}
 		s.cands[id] = c[:w]
@@ -277,12 +299,13 @@ func (s *Scan) FindAll(id int, yield func(idx []int) bool) {
 		}
 		return
 	}
-	resume := 0
-	for _, c32 := range s.prepare(id) {
-		c := int(c32)
-		if c < resume {
+	resume, tried := 0, -1
+	for _, cd := range s.prepare(id) {
+		c := cd.from(resume)
+		if c <= tried {
 			continue
 		}
+		tried = c
 		if !p.d.accepts(text, c) {
 			continue
 		}
@@ -307,8 +330,8 @@ func (s *Scan) Match(id int) bool {
 	if p.mode == modeFallback {
 		return p.re.MatchString(s.text)
 	}
-	for _, c32 := range s.prepare(id) {
-		c := int(c32)
+	for _, cd := range s.prepare(id) {
+		c := int(cd.at)
 		if !p.d.accepts(s.text, c) {
 			continue
 		}
@@ -331,12 +354,13 @@ func (s *Scan) Count(id, max int) int {
 	if p.mode == modeFallback {
 		return len(p.re.FindAllStringIndex(text, max))
 	}
-	n, resume := 0, 0
-	for _, c32 := range s.prepare(id) {
-		c := int(c32)
-		if c < resume {
+	n, resume, tried := 0, 0, -1
+	for _, cd := range s.prepare(id) {
+		c := cd.from(resume)
+		if c <= tried {
 			continue
 		}
+		tried = c
 		if !p.d.accepts(text, c) {
 			continue
 		}

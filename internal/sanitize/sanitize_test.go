@@ -168,6 +168,24 @@ func TestEmailDetection(t *testing.T) {
 	}
 }
 
+// TestRedactAdjacentEmails: a second address that starts exactly where
+// the first one ends is redacted too, not left in clear text.
+func TestRedactAdjacentEmails(t *testing.T) {
+	clean, findings := New("salt").Redact("0@0.AA0@0.AA")
+	emails := 0
+	for _, f := range findings {
+		if f.Kind == KindEmail {
+			emails++
+		}
+	}
+	if emails != 2 {
+		t.Errorf("got %d email findings, want 2: %+v", emails, findings)
+	}
+	if strings.Contains(clean, "@0.AA") {
+		t.Errorf("address survives redaction: %q", clean)
+	}
+}
+
 func TestPhoneDetection(t *testing.T) {
 	tests := []struct {
 		text string
