@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: check build test race vet lint effects bench fuzz chaos clean
+.PHONY: check build test race vet lint effects bench fuzz chaos sweep clean
 
 # check is the gate for every change: vet, build, the repo's own
 # analyzers (cmd/repolint), then the full test suite under the race
@@ -79,6 +79,14 @@ chaos:
 		CHAOS_SEED=$$seed $(GO) test -race -count=1 -run 'TestChaosSoak|TestSessionBudgetStopsSlowLoris|TestProbeCtxBudgetStopsSlowLoris' ./... || \
 			{ echo "chaos soak FAILED — replay with: CHAOS_SEED=$$seed go test -race -run TestChaosSoak ."; exit 1; }; \
 	done
+
+# sweep runs every experiment's shape checks at 32 seeds (1–31 and the
+# study's 20160604) and fails if a check passes at fewer seeds than the
+# Floor column of EXPERIMENTS.md's "Seed sweep" table. At ~75 s on two
+# cores it is too slow for `go test ./...`, so it sits behind the
+# sweep build tag.
+sweep:
+	$(GO) test -tags sweep -run TestShapeChecksAcrossSeeds -count=1 -v -timeout 30m ./internal/experiments/
 
 clean:
 	$(GO) clean ./...

@@ -181,8 +181,11 @@ type skeletonKey struct {
 	evasion float64
 }
 
-// skeletonCache memoizes campaign bodies, in genCache's idiom: building
-// one reseeds a fresh PRNG, which costs far more than cloning the result.
+// skeletonCache memoizes campaign bodies, in genCache's idiom. Seeding
+// the campaign's PRNG is cheap now that par.Rand is splitmix64, but
+// drawing and formatting the body still costs several times a deep
+// clone of it (~5 µs against ~0.7 µs on a 2-vCPU Xeon), so the memo
+// stays for the formatting cost.
 // Entries never leave the package: CampaignMessage returns deep copies.
 var (
 	skeletonMu    sync.Mutex

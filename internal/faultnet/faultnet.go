@@ -12,7 +12,7 @@
 // reads, write fragmentation, mid-stream connection reset, dial refusal
 // and dial timeout, byte truncation, bandwidth caps, and datagram drop.
 //
-// Determinism contract: every connection gets its own PRNG derived from
+// Determinism contract: every connection gets its own PRNG, par.Rand over
 // (Net seed, connection sequence number), so the fault stream of
 // connection k depends only on the seed and k — never on scheduling,
 // wall time, or other connections. A workload that dials (or accepts)
@@ -30,6 +30,8 @@ import (
 	"net"
 	"sync"
 	"time"
+
+	"repro/internal/par"
 )
 
 // Errors injected by the transport. They unwrap through the *net.OpError
@@ -175,18 +177,16 @@ func (n *Net) Conns() int64 {
 	return n.nextConn
 }
 
-// newConn assigns the next connection ID and derives its private PRNG
-// from (seed, id) with a splitmix64 finalizer, so the stream is
-// independent of every other connection's.
+// newConn assigns the next connection ID and hands it the module's one
+// PRNG, par.Rand(seed, id-1): a splitmix64 stream starting at
+// par.SubSeed(seed, id-1), so the stream is independent of every other
+// connection's.
 func (n *Net) newConn() (int64, *rand.Rand) {
 	n.mu.Lock()
 	n.nextConn++
 	id := n.nextConn
 	n.mu.Unlock()
-	z := uint64(n.seed) + uint64(id)*0x9E3779B97F4A7C15
-	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-	return id, rand.New(rand.NewSource(int64(z ^ (z >> 31))))
+	return id, par.Rand(n.seed, int(id-1))
 }
 
 func chance(rng *rand.Rand, p float64) bool {

@@ -559,6 +559,9 @@ internal/par.SetWorkers: pure
 internal/par.SubSeed: pure
 internal/par.run: Blocking{chan,lock}
 internal/par.run.func1: Blocking{chan}
+internal/par.splitmix.Int63: pure
+internal/par.splitmix.Seed: pure
+internal/par.splitmix.Uint64: pure
 `
 	if buf.String() != wantPar {
 		t.Errorf("internal/par effect dump diverged:\n got:\n%s\nwant:\n%s", buf.String(), wantPar)
