@@ -20,10 +20,19 @@ func timeFromUnixNano(ns int64) time.Time { return time.Unix(0, ns).UTC() }
 // non-outage day in day order with that day's traffic already stably
 // sorted by Received — which is the same order the materialized path's
 // single global stable sort visits them in, because every email lands
-// within its day and days are disjoint.
+// within its day and days are disjoint. Each email arrives with its
+// spamfilter.Prepare evidence, computed on the par pool, so the
+// callbacks run only the ordered part of the funnel.
 type streamSink struct {
-	onUnit func(u genUnit, out *unitResult) error
-	onDay  func(day int, emails []pendEmail) error
+	// samples, when set, makes units build their spam samples
+	// (generateUnit) and prepare them on the worker that generated
+	// them; a pass that never reads samples skips the work without
+	// changing any other unit output.
+	samples *spamfilter.Classifier
+	// traffic prepares each drained day's typo-candidate emails.
+	traffic *spamfilter.Classifier
+	onUnit  func(u genUnit, out *unitResult) error
+	onDay   func(day int, emails []pendEmail, prep []spamfilter.Prepared) error
 }
 
 // streamChunks drives one pass over the collection: generate
@@ -31,12 +40,11 @@ type streamSink struct {
 // each unit on the same PRNG sub-stream as the unchunked par.Map), merge
 // them in unit order, and drain every day that can no longer receive
 // traffic (units only schedule into their own day or later, so a day is
-// final once generation has moved past it). The pending queue bounds the
-// working set; with a spill dir it stays bounded even when episodes
-// trail their cause by many days. samples selects whether units build
-// their spam samples (generateUnit); a pass that never reads them skips
-// the work without changing any other unit output.
-func (s *Study) streamChunks(q *pendQueue, samples bool, sink streamSink) error {
+// final once generation has moved past it). The days one flush drains
+// are prepared in a single par fan-out before they replay in order. The
+// pending queue bounds the working set; with a spill dir it stays
+// bounded even when episodes trail their cause by many days.
+func (s *Study) streamChunks(q *pendQueue, sink streamSink) error {
 	start := simclock.CollectionStart
 	chunkDays := s.Cfg.StreamChunkDays
 	if chunkDays <= 0 {
@@ -49,7 +57,12 @@ func (s *Study) streamChunks(q *pendQueue, samples bool, sink streamSink) error 
 		if len(chunk) > 0 {
 			outs := par.MapAt(seed, base, chunk,
 				func(_ int, u genUnit, rng *rand.Rand) unitResult {
-					return s.generateUnit(u, rng, start, samples)
+					out := s.generateUnit(u, rng, start, sink.samples != nil)
+					out.prepared = make([]spamfilter.Prepared, len(out.samples))
+					for i, e := range out.samples {
+						out.prepared[i] = sink.samples.Prepare(e)
+					}
+					return out
 				})
 			for k := range chunk {
 				if err := sink.onUnit(chunk[k], &outs[k]); err != nil {
@@ -59,22 +72,32 @@ func (s *Study) streamChunks(q *pendQueue, samples bool, sink streamSink) error 
 			base += len(chunk)
 			chunk = chunk[:0]
 		}
+		var emails []pendEmail
+		var days, ends []int
 		for ; drained < upTo; drained++ {
 			if s.inOutage(drained) {
 				// The infrastructure was down: whatever landed is lost.
 				q.drop(drained)
 				continue
 			}
-			emails, err := q.take(drained)
+			day, err := q.take(drained)
 			if err != nil {
 				return err
 			}
-			sort.SliceStable(emails, func(i, j int) bool {
-				return emails[i].e.Received.Before(emails[j].e.Received)
+			sort.SliceStable(day, func(i, j int) bool {
+				return day[i].e.Received.Before(day[j].e.Received)
 			})
-			if err := sink.onDay(drained, emails); err != nil {
+			emails = append(emails, day...)
+			days, ends = append(days, drained), append(ends, len(emails))
+		}
+		prep := make([]spamfilter.Prepared, len(emails))
+		par.For(len(emails), func(i int) { prep[i] = sink.traffic.Prepare(emails[i].e) })
+		lo := 0
+		for k, day := range days {
+			if err := sink.onDay(day, emails[lo:ends[k]], prep[lo:ends[k]]); err != nil {
 				return err
 			}
+			lo = ends[k]
 		}
 		return nil
 	}
@@ -99,8 +122,8 @@ func (s *Study) streamChunks(q *pendQueue, samples bool, sink streamSink) error 
 // one; its Layer 5 fate is decided once the corpus-wide frequency tables
 // are complete, just like Classify's second sweep.
 type calSurvivor struct {
-	isTrap                bool
-	rcpt, sender, content spamfilter.FreqKey
+	isTrap bool
+	keys   spamfilter.FreqKeys
 }
 
 // domainTally defers one domain's integer classification counts.
@@ -223,15 +246,18 @@ func (s *Study) runStreaming() (*Result, error) {
 	mainFreq := spamfilter.NewFreqTables()
 	emailsSeen := 0
 
-	err = s.streamChunks(q1, true, streamSink{
+	err = s.streamChunks(q1, streamSink{
+		samples: calCls,
+		traffic: cls1,
 		onUnit: func(u genUnit, out *unitResult) error {
 			d := &s.Domains[u.di]
 			isTrap := d.Kind == KindSMTPTrap
 			// Calibration samples arrive nondecreasing in Received
-			// (day-major at a fixed hour), so classifying them here in
+			// (day-major at a fixed hour), so deciding them here in
 			// unit order matches calCls.Classify's stable sort exactly.
-			for _, e := range out.samples {
-				r := calCls.ClassifyOne(e)
+			for i := range out.prepared {
+				p := &out.prepared[i]
+				r := calCls.Decide(p)
 				c := cal[isTrap]
 				c.total++
 				switch {
@@ -240,12 +266,11 @@ func (s *Study) runStreaming() (*Result, error) {
 				case r.Verdict == spamfilter.VerdictReflection:
 					c.filtered++
 				default:
-					rcpt, snd, ct := spamfilter.FreqKeys(e)
-					calFreq.AddKeys(rcpt, snd, ct)
-					calSurv = append(calSurv, calSurvivor{isTrap: isTrap, rcpt: rcpt, sender: snd, content: ct})
+					calFreq.Add(p.Keys)
+					calSurv = append(calSurv, calSurvivor{isTrap: isTrap, keys: p.Keys})
 				}
 			}
-			emailsSeen += len(out.samples)
+			emailsSeen += len(out.prepared)
 			for _, se := range out.sched {
 				if err := q1.add(se.day, pendEmail{e: se.e, di: u.di, contaminant: se.contaminant}); err != nil {
 					return err
@@ -255,10 +280,10 @@ func (s *Study) runStreaming() (*Result, error) {
 			res.SMTPEpisodeSizes = append(res.SMTPEpisodeSizes, out.episodeSizes...)
 			return nil
 		},
-		onDay: func(day int, emails []pendEmail) error {
-			for i := range emails {
-				if r := cls1.ClassifyOne(emails[i].e); r.Verdict.IsTrueTypo() {
-					mainFreq.Add(emails[i].e)
+		onDay: func(day int, emails []pendEmail, prep []spamfilter.Prepared) error {
+			for i := range prep {
+				if r := cls1.Decide(&prep[i]); r.Verdict.IsTrueTypo() {
+					mainFreq.Add(prep[i].Keys)
 				}
 			}
 			emailsSeen += len(emails)
@@ -274,7 +299,7 @@ func (s *Study) runStreaming() (*Result, error) {
 	// pass two only needs the fraction tallies and mainFreq.
 	for _, sv := range calSurv {
 		c := cal[sv.isTrap]
-		if calCls.KeysExceed(calFreq, sv.rcpt, sv.sender, sv.content) {
+		if calCls.KeysExceed(calFreq, sv.keys) {
 			c.filtered++
 		} else {
 			c.escaped++
@@ -292,7 +317,8 @@ func (s *Study) runStreaming() (*Result, error) {
 	cls2 := spamfilter.NewClassifier(spamfilter.Config{OurDomains: ourDomains})
 	tally := newStreamTally(s.Cfg.Days)
 
-	err = s.streamChunks(q2, false, streamSink{
+	err = s.streamChunks(q2, streamSink{
+		traffic: cls2,
 		onUnit: func(u genUnit, out *unitResult) error {
 			d := &s.Domains[u.di]
 			isTrap := d.Kind == KindSMTPTrap
@@ -318,12 +344,12 @@ func (s *Study) runStreaming() (*Result, error) {
 			}
 			return nil
 		},
-		onDay: func(day int, emails []pendEmail) error {
+		onDay: func(day int, emails []pendEmail, prep []spamfilter.Prepared) error {
 			for i := range emails {
 				pe := &emails[i]
 				d := &s.Domains[pe.di]
-				r := cls2.ClassifyOne(pe.e)
-				cls2.ApplyLayer5(&r, mainFreq)
+				r := cls2.Decide(&prep[i])
+				cls2.ApplyLayer5(&r, prep[i].Keys, mainFreq)
 				if pe.contaminant {
 					dt := tally.domain(d.Name)
 					if r.Verdict.IsTrueTypo() {

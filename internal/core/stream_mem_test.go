@@ -94,18 +94,24 @@ func TestStreamingFlatMemory(t *testing.T) {
 		})
 	}
 
-	// The 1x run lasts tens of milliseconds, so one execution yields only
-	// a handful of live-heap samples and can miss the mid-chunk transient
-	// the long run is always observed at; repeating it and taking the max
-	// samples the same peak the 100x run's thousands of samples see.
+	// The two sides must be measured in like states. The 100x run goes
+	// first: it fills the process-wide memos (corpus.skeletonCache, the
+	// match engine's lazy DFA) that whichever run comes first would
+	// otherwise pay for alone, so every 1x run below sees them warm. And
+	// peakHeap's maximum grows with the number of samples: a 1x run
+	// lasts ~15 ms, a handful of samples, while the 100x run's hundreds
+	// of samples catch the worst moment of transients that do not grow
+	// with the day count (a chunk's generated units, a flush's drained
+	// days and their Prepare results). Repeating the 1x run 100 times
+	// gives it the 100x run's sample count.
 	const base = 3
+	peak100x := run(100 * base)
 	var peak1x uint64
-	for i := 0; i < 3; i++ {
+	for i := 0; i < 100; i++ {
 		if p := run(base); p > peak1x {
 			peak1x = p
 		}
 	}
-	peak100x := run(100 * base)
 	t.Logf("peak heap: 1x (%d days) = %.1f MB, 100x (%d days) = %.1f MB",
 		base, float64(peak1x)/(1<<20), 100*base, float64(peak100x)/(1<<20))
 	if peak100x > 2*peak1x {

@@ -247,6 +247,7 @@ type schedEmail struct {
 type unitResult struct {
 	volume       float64
 	samples      []*spamfilter.Email
+	prepared     []spamfilter.Prepared // samples, prepared by a streaming pass
 	sched        []schedEmail
 	persistence  []float64
 	episodeSizes []int

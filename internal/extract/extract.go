@@ -23,6 +23,7 @@ import (
 	"fmt"
 	"io"
 	"strings"
+	"sync"
 )
 
 // Magic numbers of the synthetic containers.
@@ -70,12 +71,29 @@ func Text(filename string, data []byte) (string, error) {
 // ---------------------------------------------------------------------
 // SDOC: flate-compressed body with a length-checked frame.
 
+// sdocWriter is the one compressor every BuildSDOC call reuses. A
+// flate.Writer carries ~1.2 MB of hash tables and buffers at any level,
+// against SDOC bodies of a few hundred bytes, so a fresh writer per
+// call was most of the call's cost and a large transient on the
+// collection run's heap. Reset makes it equivalent to a fresh
+// NewWriter, so the container bytes are unchanged.
+var sdocWriter struct {
+	sync.Mutex
+	w *flate.Writer
+}
+
 // BuildSDOC packs text into an SDOC container.
 func BuildSDOC(text string) []byte {
 	var body bytes.Buffer
-	w, _ := flate.NewWriter(&body, flate.BestSpeed)
-	io.WriteString(w, text)
-	w.Close()
+	sdocWriter.Lock()
+	if sdocWriter.w == nil {
+		sdocWriter.w, _ = flate.NewWriter(&body, flate.BestSpeed)
+	} else {
+		sdocWriter.w.Reset(&body)
+	}
+	io.WriteString(sdocWriter.w, text)
+	sdocWriter.w.Close()
+	sdocWriter.Unlock()
 	out := make([]byte, 0, len(magicSDOC)+8+body.Len())
 	out = append(out, magicSDOC...)
 	var lenBuf [8]byte

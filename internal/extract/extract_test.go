@@ -1,8 +1,11 @@
 package extract
 
 import (
+	"bytes"
+	"compress/flate"
 	"errors"
 	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -26,6 +29,38 @@ func TestSDOCRoundTrip(t *testing.T) {
 	if got != text {
 		t.Errorf("SDOC round trip = %q", got)
 	}
+}
+
+// TestSDOCReusedWriterMatchesFresh holds BuildSDOC's shared,
+// Reset-reused compressor to a fresh flate.NewWriter per container:
+// identical bytes for texts of different sizes built one after another
+// and from concurrent goroutines.
+func TestSDOCReusedWriterMatchesFresh(t *testing.T) {
+	fresh := func(text string) []byte {
+		var body bytes.Buffer
+		w, _ := flate.NewWriter(&body, flate.BestSpeed)
+		w.Write([]byte(text))
+		w.Close()
+		var n [8]byte
+		for i := 0; i < 8; i++ {
+			n[7-i] = byte(uint64(len(text)) >> (8 * i))
+		}
+		return append(append(append([]byte(nil), magicSDOC...), n[:]...), body.Bytes()...)
+	}
+	texts := []string{"", "short", strings.Repeat("Quarterly numbers attached. ", 400), "Amex 371385129301004 Exp 06/03\n", "short"}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for _, text := range texts {
+				if got, want := BuildSDOC(text), fresh(text); !bytes.Equal(got, want) {
+					t.Errorf("BuildSDOC(%.20q) differs from a fresh writer's container", text)
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 func TestSDOCCorruption(t *testing.T) {

@@ -44,6 +44,20 @@ func MapErr[T, R any](seed int64, items []T, fn func(i int, item T, rng *rand.Ra
 	}
 	return out, nil
 }
+
+func MapAt[T, R any](seed int64, base int, items []T, fn func(i int, item T, rng *rand.Rand) R) []R {
+	out := make([]R, len(items))
+	for i, item := range items {
+		out[i] = fn(base+i, item, Rand(seed, base+i))
+	}
+	return out
+}
+
+func For(n int, do func(i int)) {
+	for i := 0; i < n; i++ {
+		do(i)
+	}
+}
 `
 
 // TestEffectAnalyzers covers the three analyzers built on the L4
@@ -145,6 +159,61 @@ func Run(seed int64, items []int) []int {
 				"internal/shard/s.go:12: [purepar]",
 				"carries GlobalWrite",
 				"write to shard.hits",
+			},
+			count: 1,
+		},
+		{
+			name:     "purepar flags a clock read in a par.For index function",
+			analyzer: "purepar",
+			files: map[string]string{
+				"internal/par/par.go": effectParStub,
+				"internal/shard/s.go": `package shard
+
+import (
+	"time"
+
+	"repro/internal/par"
+)
+
+func Run(items []int) []int64 {
+	out := make([]int64, len(items))
+	par.For(len(items), func(i int) { out[i] = time.Now().UnixNano() + int64(items[i]) })
+	return out
+}
+`,
+			},
+			want: []string{
+				"internal/shard/s.go:11: [purepar]",
+				"shard function passed to par.For carries ReadsClock",
+			},
+			count: 1,
+		},
+		{
+			name:     "purepar flags package-level writes in a par.MapAt shard",
+			analyzer: "purepar",
+			files: map[string]string{
+				"internal/par/par.go": effectParStub,
+				"internal/shard/s.go": `package shard
+
+import (
+	"math/rand"
+
+	"repro/internal/par"
+)
+
+var hits int
+
+func Run(seed int64, base int, items []int) []int {
+	return par.MapAt(seed, base, items, func(i int, it int, rng *rand.Rand) int {
+		hits++
+		return it
+	})
+}
+`,
+			},
+			want: []string{
+				"internal/shard/s.go:12: [purepar]",
+				"shard function passed to par.MapAt carries GlobalWrite",
 			},
 			count: 1,
 		},
@@ -547,7 +616,9 @@ func TestEffectSummariesGolden(t *testing.T) {
 	if err := WriteEffects(&buf, EffectSummaries(prog, parPkgs)); err != nil {
 		t.Fatal(err)
 	}
-	const wantPar = `internal/par.Map: Blocking{chan,lock}
+	const wantPar = `internal/par.For: Blocking{chan,lock}
+internal/par.For.func1: Blocking{chan}
+internal/par.Map: Blocking{chan,lock}
 internal/par.Map.func1: pure
 internal/par.MapAt: Blocking{chan,lock}
 internal/par.MapAt.func1: pure
@@ -557,8 +628,6 @@ internal/par.NumWorkers: pure
 internal/par.Rand: pure
 internal/par.SetWorkers: pure
 internal/par.SubSeed: pure
-internal/par.run: Blocking{chan,lock}
-internal/par.run.func1: Blocking{chan}
 internal/par.splitmix.Int63: pure
 internal/par.splitmix.Seed: pure
 internal/par.splitmix.Uint64: pure

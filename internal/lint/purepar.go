@@ -7,8 +7,8 @@ import (
 )
 
 // PureParAnalyzer statically proves the determinism contract's shard
-// clauses (DESIGN §9): any function value reaching par.Map or
-// par.MapErr must be byte-identical to a sequential run, so its
+// clauses (DESIGN §9): any function value reaching par.Map, par.MapAt,
+// par.MapErr or par.For must be byte-identical to a sequential run, so its
 // inferred effect summary must be free of
 //
 //   - ReadsClock    — wall-clock observations differ per run; shards
@@ -27,9 +27,13 @@ import (
 // shard are the inference's documented hole.
 var PureParAnalyzer = &Analyzer{
 	Name: "purepar",
-	Doc:  "function values reaching par.Map/par.MapErr must carry no clock, ambient-rand, global-write or map-order effects",
+	Doc:  "function values reaching par.Map/MapAt/MapErr/For must carry no clock, ambient-rand, global-write or map-order effects",
 	Run:  runPurePar,
 }
+
+// parShardArgs maps each par entry point that fans a function value
+// out to its workers to its argument count; the function is the last.
+var parShardArgs = map[string]int{"Map": 3, "MapErr": 3, "MapAt": 4, "For": 2}
 
 // pureParForbidden is the set of effects a parallel shard must not
 // carry (DESIGN §9 clauses 1–3).
@@ -52,10 +56,11 @@ func runPurePar(pass *Pass) {
 			if fn == nil || !isPkgPath(fn.Pkg(), parPath) {
 				return true
 			}
-			if (fn.Name() != "Map" && fn.Name() != "MapErr") || len(call.Args) != 3 {
+			if parShardArgs[fn.Name()] != len(call.Args) {
 				return true
 			}
-			key := resolveFuncValue(info, call.Args[2])
+			shard := call.Args[len(call.Args)-1]
+			key := resolveFuncValue(info, shard)
 			if key == nil {
 				return true // opaque function value: the documented hole
 			}
@@ -68,7 +73,7 @@ func runPurePar(pass *Pass) {
 			}
 			for _, e := range fi.set.Intersect(pureParForbidden).Effects() {
 				chain, detail := st.describe(fi, e)
-				pass.ReportfChain(call.Args[2].Pos(), detail,
+				pass.ReportfChain(shard.Pos(), detail,
 					"shard function passed to par.%s carries %s (%s); a parallel shard must take randomness from its rng argument, time from simclock, and iterate maps in sorted order",
 					fn.Name(), e, chain)
 			}

@@ -93,7 +93,7 @@ func (s *splitmix) Seed(seed int64) { s.state = uint64(seed) }
 // locking is needed beyond the final join.
 func Map[T, R any](seed int64, items []T, fn func(i int, item T, rng *rand.Rand) R) []R {
 	out := make([]R, len(items))
-	run(len(items), func(i int) {
+	For(len(items), func(i int) {
 		out[i] = fn(i, items[i], Rand(seed, i))
 	})
 	return out
@@ -108,7 +108,7 @@ func Map[T, R any](seed int64, items []T, fn func(i int, item T, rng *rand.Rand)
 // worker count. fn receives the GLOBAL index.
 func MapAt[T, R any](seed int64, base int, items []T, fn func(i int, item T, rng *rand.Rand) R) []R {
 	out := make([]R, len(items))
-	run(len(items), func(i int) {
+	For(len(items), func(i int) {
 		out[i] = fn(base+i, items[i], Rand(seed, base+i))
 	})
 	return out
@@ -122,7 +122,7 @@ func MapAt[T, R any](seed int64, base int, items []T, fn func(i int, item T, rng
 func MapErr[T, R any](seed int64, items []T, fn func(i int, item T, rng *rand.Rand) (R, error)) ([]R, error) {
 	out := make([]R, len(items))
 	errs := make([]error, len(items))
-	run(len(items), func(i int) {
+	For(len(items), func(i int) {
 		out[i], errs[i] = fn(i, items[i], Rand(seed, i))
 	})
 	for _, err := range errs {
@@ -133,9 +133,10 @@ func MapErr[T, R any](seed int64, items []T, fn func(i int, item T, rng *rand.Ra
 	return out, nil
 }
 
-// run executes do(0..n-1) on min(NumWorkers, n) workers and joins them
-// before returning.
-func run(n int, do func(i int)) {
+// For executes do(0..n-1) on min(NumWorkers, n) workers and joins them
+// before returning: the index loop under Map, for work that draws no
+// randomness. do must write only to slot i of its outputs.
+func For(n int, do func(i int)) {
 	w := NumWorkers()
 	if w > n {
 		w = n

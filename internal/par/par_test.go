@@ -55,6 +55,25 @@ func TestMapEmptyAndSingle(t *testing.T) {
 	}
 }
 
+// TestForVisitsEveryIndexOnce runs For at several pool sizes, including
+// more workers than items and no items, and requires each index to be
+// visited exactly once before For returns.
+func TestForVisitsEveryIndexOnce(t *testing.T) {
+	for _, w := range []int{1, 2, 8} {
+		for _, n := range []int{0, 1, 5, 1000} {
+			withWorkers(w, func() {
+				hits := make([]int, n)
+				For(n, func(i int) { hits[i]++ })
+				for i, h := range hits {
+					if h != 1 {
+						t.Fatalf("workers=%d n=%d: index %d visited %d times", w, n, i, h)
+					}
+				}
+			})
+		}
+	}
+}
+
 func TestSubSeedStreamsDiffer(t *testing.T) {
 	seen := make(map[int64]int)
 	for i := 0; i < 10_000; i++ {

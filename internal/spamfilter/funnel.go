@@ -4,9 +4,11 @@ import (
 	"regexp"
 	"sort"
 	"strings"
+	"sync"
 	"time"
 
 	"repro/internal/mailmsg"
+	"repro/internal/par"
 )
 
 // Email is one collected message with its envelope metadata. ServerDomain
@@ -102,14 +104,17 @@ type Config struct {
 	Oracle bool
 }
 
-// Classifier runs the five-layer funnel. Layers 1–4 are streaming;
-// Layer 5 requires corpus-wide frequencies and runs in Classify.
+// Classifier runs the five-layer funnel. Layers 1, 2 and 4 depend on
+// the email alone and run in Prepare; Layer 3 is ordered and runs in
+// Decide; Layer 5 requires corpus-wide frequencies and runs in Classify.
 type Classifier struct {
 	cfg Config
 
-	// Layer 3 state, accumulated across all domains.
-	spamSenders map[string]bool
-	spamBags    map[string]bool
+	// mu orders Decide calls: Layer 3 state, accumulated across all
+	// domains, keyed by the Layer 5 sender and content keys.
+	mu          sync.Mutex
+	spamSenders map[FreqKey]bool
+	spamBags    map[FreqKey]bool
 }
 
 // NewClassifier creates a funnel over the given registered domains.
@@ -132,8 +137,8 @@ func NewClassifier(cfg Config) *Classifier {
 	}
 	return &Classifier{
 		cfg:         cfg,
-		spamSenders: make(map[string]bool),
-		spamBags:    make(map[string]bool),
+		spamSenders: make(map[FreqKey]bool),
+		spamBags:    make(map[FreqKey]bool),
 	}
 }
 
@@ -173,27 +178,6 @@ func (c *Classifier) layer1(e *Email) bool {
 		if !c.registeredSuffix(mailmsg.AddrDomain(e.RcptAddr)) {
 			return true
 		}
-	}
-	return false
-}
-
-// markSpam feeds Layer 3's collaborative state.
-func (c *Classifier) markSpam(e *Email) {
-	if s := mailmsg.Addr(e.SenderAddr); s != "" {
-		c.spamSenders[s] = true
-	}
-	if bag, ok := BagOfWords(e.Msg.Text()); ok {
-		c.spamBags[BagSignature(bag)] = true
-	}
-}
-
-// layer3 consults the collaborative state.
-func (c *Classifier) layer3(e *Email) bool {
-	if c.spamSenders[mailmsg.Addr(e.SenderAddr)] {
-		return true
-	}
-	if bag, ok := BagOfWords(e.Msg.Text()); ok && c.spamBags[BagSignature(bag)] {
-		return true
 	}
 	return false
 }
@@ -257,67 +241,106 @@ func (c *Classifier) layer4(e *Email) bool {
 	return false
 }
 
-// ClassifyOne runs layers 1–4 on a single email, updating collaborative
-// state. Survivors are provisionally receiver or SMTP typos; Layer 5 may
-// still reclassify them in Classify.
-func (c *Classifier) ClassifyOne(e *Email) Result {
+// Prepared is one email's funnel evidence that depends on the email
+// alone: the Layer 1, 2 and 4 outcome and its Layer 5 keys. Keys.Sender
+// and Keys.Content double as Layer 3's sender and bag keys (a bag's
+// content key is its signature), so a Prepared holds no body text.
+type Prepared struct {
+	Email *Email
+	Keys  FreqKeys
+
+	verdict           Verdict // before Layer 3
+	layer             int
+	rules             []string
+	hasSender, hasBag bool
+}
+
+// Prepare runs everything in the funnel but Layer 3 on one email. It
+// reads only the classifier's configuration, so any goroutine may call
+// it in any order.
+func (c *Classifier) Prepare(e *Email) Prepared {
+	sender, text := mailmsg.Addr(e.SenderAddr), e.Msg.Text()
+	bag, hasBag := BagOfWords(text)
+	p := Prepared{Email: e, hasSender: sender != "", hasBag: hasBag}
+	p.Keys.Rcpt = hashKey("", mailmsg.Addr(e.RcptAddr))
+	p.Keys.Sender = hashKey("", sender)
+	p.Keys.Content = contentKey(text, bag, hasBag)
 	if c.layer1(e) {
-		c.markSpam(e)
-		return Result{Email: e, Verdict: VerdictSpamHeader, Layer: 1}
+		p.verdict, p.layer = VerdictSpamHeader, 1
+	} else if HasForbiddenArchive(e.Msg) {
+		p.verdict, p.layer = VerdictSpamArchive, 2
+	} else if score, hits := c.cfg.Scorer.Score(e.Msg); score >= c.cfg.Scorer.Threshold {
+		p.verdict, p.layer, p.rules = VerdictSpamScore, 2, hits
+	} else if c.layer4(e) {
+		p.verdict, p.layer = VerdictReflection, 4
+	} else if e.SMTPTypoDomain && !c.registeredSuffix(mailmsg.AddrDomain(e.RcptAddr)) {
+		p.verdict = VerdictSMTPTypo
+	} else {
+		p.verdict = VerdictReceiverTypo
 	}
-	if HasForbiddenArchive(e.Msg) {
-		c.markSpam(e)
-		return Result{Email: e, Verdict: VerdictSpamArchive, Layer: 2}
+	return p
+}
+
+// Decide runs Layer 3 on a prepared email: a non-spam email whose
+// sender or bag of words an earlier spam verdict carried is
+// collaborative spam, and every spam verdict extends those sets. The
+// verdicts depend on call order, so callers decide in arrival order.
+// Survivors are provisionally receiver or SMTP typos; Layer 5 may still
+// reclassify them in Classify.
+func (c *Classifier) Decide(p *Prepared) Result {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	r := Result{Email: p.Email, Verdict: p.verdict, Layer: p.layer, Rules: p.rules}
+	if !r.Verdict.IsSpamVerdict() &&
+		(p.hasSender && c.spamSenders[p.Keys.Sender] || p.hasBag && c.spamBags[p.Keys.Content]) {
+		r = Result{Email: p.Email, Verdict: VerdictSpamCollab, Layer: 3}
 	}
-	if score, hits := c.cfg.Scorer.Score(e.Msg); score >= c.cfg.Scorer.Threshold {
-		c.markSpam(e)
-		return Result{Email: e, Verdict: VerdictSpamScore, Layer: 2, Rules: hits}
+	if r.Verdict.IsSpamVerdict() {
+		if p.hasSender {
+			c.spamSenders[p.Keys.Sender] = true
+		}
+		if p.hasBag {
+			c.spamBags[p.Keys.Content] = true
+		}
 	}
-	if c.layer3(e) {
-		c.markSpam(e)
-		return Result{Email: e, Verdict: VerdictSpamCollab, Layer: 3}
-	}
-	if c.layer4(e) {
-		return Result{Email: e, Verdict: VerdictReflection, Layer: 4}
-	}
-	if e.SMTPTypoDomain && !c.registeredSuffix(mailmsg.AddrDomain(e.RcptAddr)) {
-		return Result{Email: e, Verdict: VerdictSMTPTypo}
-	}
-	return Result{Email: e, Verdict: VerdictReceiverTypo}
+	return r
+}
+
+// ClassifyOne runs layers 1–4 on a single email, updating collaborative
+// state. It is safe for concurrent use; concurrent callers' Layer 3
+// verdicts follow the order their Decide calls take the lock in.
+func (c *Classifier) ClassifyOne(e *Email) Result {
+	p := c.Prepare(e)
+	return c.Decide(&p)
 }
 
 // Classify runs the full funnel over a corpus in arrival order, applying
 // Layer 5 frequency filtering to the receiver-typo survivors: recipient
 // addresses, sender addresses or bodies that appear too often are
-// automated artifacts, not unique human mistakes.
+// automated artifacts, not unique human mistakes. Emails are prepared on
+// par workers and decided in order.
 func (c *Classifier) Classify(emails []*Email) []Result {
 	ordered := append([]*Email(nil), emails...)
 	sort.SliceStable(ordered, func(i, j int) bool { return ordered[i].Received.Before(ordered[j].Received) })
 
+	prep := make([]Prepared, len(ordered))
+	par.For(len(ordered), func(i int) { prep[i] = c.Prepare(ordered[i]) })
 	results := make([]Result, len(ordered))
-	for i, e := range ordered {
-		results[i] = c.ClassifyOne(e)
+	for i := range prep {
+		results[i] = c.Decide(&prep[i])
 	}
 
 	// Layer 5: corpus-wide frequencies over layer 1-4 survivors.
 	freq := NewFreqTables()
-	for _, r := range results {
+	for i, r := range results {
 		if r.Verdict.IsTrueTypo() {
-			freq.Add(r.Email)
+			freq.Add(prep[i].Keys)
 		}
 	}
 	for i := range results {
-		c.ApplyLayer5(&results[i], freq)
+		c.ApplyLayer5(&results[i], prep[i].Keys, freq)
 	}
 	return results
-}
-
-// contentKey normalizes a body for frequency comparison.
-func contentKey(body string) string {
-	if bag, ok := BagOfWords(body); ok {
-		return BagSignature(bag)
-	}
-	return strings.Join(strings.Fields(strings.ToLower(body)), " ")
 }
 
 // CountByVerdict tallies results per verdict.

@@ -7,6 +7,7 @@ package spamfilter
 
 import (
 	"regexp"
+	"slices"
 	"sort"
 	"strings"
 
@@ -344,24 +345,13 @@ func HasForbiddenArchive(m *mailmsg.Message) bool {
 // sorted — Layer 3's content signature. ok is false when the bag has 20
 // or fewer words, which the paper considers too weak a signature.
 func BagOfWords(body string) (words []string, ok bool) {
-	seen := map[string]bool{}
-	for _, w := range strings.FieldsFunc(strings.ToLower(body), func(r rune) bool {
+	words = strings.FieldsFunc(strings.ToLower(body), func(r rune) bool {
 		return !(r >= 'a' && r <= 'z') && !(r >= '0' && r <= '9')
-	}) {
-		if len(w) >= 2 {
-			seen[w] = true
-		}
-	}
-	if len(seen) <= 20 {
+	})
+	words = slices.DeleteFunc(words, func(w string) bool { return len(w) < 2 })
+	sort.Strings(words)
+	if words = slices.Compact(words); len(words) <= 20 {
 		return nil, false
 	}
-	words = make([]string, 0, len(seen))
-	for w := range seen {
-		words = append(words, w)
-	}
-	sort.Strings(words)
 	return words, true
 }
-
-// BagSignature compresses a bag of words to a comparable key.
-func BagSignature(words []string) string { return strings.Join(words, "\x00") }
