@@ -44,7 +44,7 @@ type streamSink struct {
 // are prepared in a single par fan-out before they replay in order. The
 // pending queue bounds the working set; with a spill dir it stays
 // bounded even when episodes trail their cause by many days.
-func (s *Study) streamChunks(q *pendQueue, sink streamSink) error {
+func (s *Study) streamChunks(q *pendQueue, rates []typoRates, sink streamSink) error {
 	start := simclock.CollectionStart
 	chunkDays := s.Cfg.StreamChunkDays
 	if chunkDays <= 0 {
@@ -57,7 +57,7 @@ func (s *Study) streamChunks(q *pendQueue, sink streamSink) error {
 		if len(chunk) > 0 {
 			outs := par.MapAt(seed, base, chunk,
 				func(_ int, u genUnit, rng *rand.Rand) unitResult {
-					out := s.generateUnit(u, rng, start, sink.samples != nil)
+					out := s.generateUnit(u, rates[u.di], rng, start, sink.samples != nil)
 					out.prepared = make([]spamfilter.Prepared, len(out.samples))
 					for i, e := range out.samples {
 						out.prepared[i] = sink.samples.Prepare(e)
@@ -221,7 +221,7 @@ func (t *streamTally) apply(res *Result) {
 // aggregate volumes in unit order, and replays the funnel
 // day by day against a fresh classifier with the harvested tables —
 // exactly the decomposition Classify performs in one sweep.
-func (s *Study) runStreaming() (*Result, error) {
+func (s *Study) runStreaming(rates []typoRates) (*Result, error) {
 	ourDomains := s.ourDomainSet()
 	start := simclock.CollectionStart
 	res := s.newResult(start)
@@ -246,7 +246,7 @@ func (s *Study) runStreaming() (*Result, error) {
 	mainFreq := spamfilter.NewFreqTables()
 	emailsSeen := 0
 
-	err = s.streamChunks(q1, streamSink{
+	err = s.streamChunks(q1, rates, streamSink{
 		samples: calCls,
 		traffic: cls1,
 		onUnit: func(u genUnit, out *unitResult) error {
@@ -317,7 +317,7 @@ func (s *Study) runStreaming() (*Result, error) {
 	cls2 := spamfilter.NewClassifier(spamfilter.Config{OurDomains: ourDomains})
 	tally := newStreamTally(s.Cfg.Days)
 
-	err = s.streamChunks(q2, streamSink{
+	err = s.streamChunks(q2, rates, streamSink{
 		traffic: cls2,
 		onUnit: func(u genUnit, out *unitResult) error {
 			d := &s.Domains[u.di]

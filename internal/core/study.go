@@ -186,6 +186,21 @@ func (s *Study) attractiveness(d StudyDomain) float64 {
 	return 2.2 / math.Pow(float64(t.Rank), 0.30)
 }
 
+// typoRates is one study domain's expected daily typo arrivals.
+type typoRates struct{ recv, refl, smtpEpisodes float64 }
+
+// typoRatesByDomain returns typoRatesPerDay for every study domain, by
+// domain index. Run computes it once: the rates are a pure function of
+// the domain, and every (day, domain) unit reads them.
+func (s *Study) typoRatesByDomain() []typoRates {
+	rates := make([]typoRates, len(s.Domains))
+	for i, d := range s.Domains {
+		r := &rates[i]
+		r.recv, r.refl, r.smtpEpisodes = s.typoRatesPerDay(d)
+	}
+	return rates
+}
+
 // typoRatesPerDay returns the expected daily arrivals of true receiver
 // typos, reflection typo episodes and SMTP-typo episodes for a domain.
 // (Each episode emits several emails, so episode rates sit below the
@@ -256,12 +271,13 @@ type unitResult struct {
 // generateUnit materializes one (day, domain) slice of traffic: the
 // aggregate spam volume with its sampled materialization, plus the 1:1
 // true typo traffic (receiver typos, contaminant scams, reflection and
-// SMTP episodes). Each unit owns a private spam generator seeded from
-// its stream, so the campaign draw is a pure function of the unit.
+// SMTP episodes) at the domain's rates. Each unit owns a private spam
+// generator seeded from its stream, so the campaign draw is a pure
+// function of the unit.
 // With samples false the spam sample is counted but not built: it draws
 // only from the private generator, so every later draw on rng — and
 // with it the typo traffic — is unchanged.
-func (s *Study) generateUnit(u genUnit, rng *rand.Rand, start time.Time, samples bool) unitResult {
+func (s *Study) generateUnit(u genUnit, rates typoRates, rng *rand.Rand, start time.Time, samples bool) unitResult {
 	d := &s.Domains[u.di]
 	isTrap := d.Kind == KindSMTPTrap
 	when := start.Add(time.Duration(u.day)*24*time.Hour + 12*time.Hour)
@@ -282,7 +298,7 @@ func (s *Study) generateUnit(u genUnit, rng *rand.Rand, start time.Time, samples
 	}
 
 	// ---- True typo traffic, materialized 1:1.
-	recvRate, reflRate, smtpRate := s.typoRatesPerDay(*d)
+	recvRate, reflRate, smtpRate := rates.recv, rates.refl, rates.smtpEpisodes
 	for n := spamgen.Poisson(rng, recvRate); n > 0; n-- {
 		out.sched = append(out.sched, schedEmail{e: s.buildReceiverTypo(rng, d, when), day: u.day})
 	}
@@ -314,7 +330,7 @@ func (s *Study) generateUnit(u genUnit, rng *rand.Rand, start time.Time, samples
 		}
 	}
 	for n := spamgen.Poisson(rng, smtpRate); n > 0; n-- {
-		user := fmt.Sprintf("%s@%s", users.RandomLocalPart(rng), d.Target)
+		user := users.RandomLocalPart(rng) + "@" + d.Target
 		ep := users.SampleSMTPEpisode(rng, user)
 		out.persistence = append(out.persistence, ep.Persistence)
 		out.episodeSizes = append(out.episodeSizes, ep.Emails)
@@ -389,8 +405,9 @@ func (s *Study) newResult(start time.Time) *Result {
 // Cfg.Streaming set, the equivalent chunked two-pass run (stream.go)
 // executes instead — same bytes out, bounded working set.
 func (s *Study) Run() (*Result, error) {
+	rates := s.typoRatesByDomain()
 	if s.Cfg.Streaming {
-		return s.runStreaming()
+		return s.runStreaming(rates)
 	}
 	ourDomains := s.ourDomainSet()
 	classifier := spamfilter.NewClassifier(spamfilter.Config{OurDomains: ourDomains})
@@ -434,7 +451,7 @@ func (s *Study) Run() (*Result, error) {
 	}
 	unitOut := par.Map(par.SubSeed(s.Cfg.Seed, streamGenUnits), units,
 		func(i int, u genUnit, rng *rand.Rand) unitResult {
-			return s.generateUnit(u, rng, start, true)
+			return s.generateUnit(u, rates[u.di], rng, start, true)
 		})
 
 	// ---- Ordered merge, identical to the sequential interleaving.

@@ -1,7 +1,6 @@
 package spamfilter
 
 import (
-	"regexp"
 	"sort"
 	"strings"
 	"sync"
@@ -110,6 +109,9 @@ type Config struct {
 type Classifier struct {
 	cfg Config
 
+	// memo holds the content facts of recently prepared contents.
+	memo factMemo
+
 	// mu orders Decide calls: Layer 3 state, accumulated across all
 	// domains, keyed by the Layer 5 sender and content keys.
 	mu          sync.Mutex
@@ -182,37 +184,15 @@ func (c *Classifier) layer1(e *Email) bool {
 	return false
 }
 
-// The Layer 4 oracle regexps, sharing their patterns with ruleEngine.
-var (
-	reflectionBodyRe = regexp.MustCompile(reflectionBodyPat)
-	bounceSenderRe   = regexp.MustCompile(bounceSenderPat)
-	systemUserRe     = regexp.MustCompile(systemUserPat)
-)
-
-// matchPat answers one pattern Match on the classifier's configured
-// path: the shared engine, or the stdlib oracle under cfg.Oracle.
-func (c *Classifier) matchPat(pat int, text string) bool {
-	if c.cfg.Oracle {
-		switch pat {
-		case patReflectionBody:
-			return reflectionBodyRe.MatchString(text)
-		case patBounceSender:
-			return bounceSenderRe.MatchString(text)
-		case patSystemUser:
-			return systemUserRe.MatchString(text)
-		}
-	}
-	return matchOnce(pat, text)
-}
-
 // layer4 detects reflection typos — output of automated systems.
-func (c *Classifier) layer4(e *Email) bool {
+// reflectionBody is the content fact: the body reads like one.
+func (c *Classifier) layer4(e *Email, reflectionBody bool) bool {
 	m := e.Msg
 	if m.HasHeader("List-Unsubscribe") || m.HasHeader("List-Id") {
 		return true
 	}
 	for _, h := range [...]string{"Sender", "From", "Reply-To"} {
-		if c.matchPat(patBounceSender, m.Header(h)) {
+		if matchOn(c.cfg.Oracle, patBounceSender, m.Header(h)) {
 			return true
 		}
 	}
@@ -232,10 +212,10 @@ func (c *Classifier) layer4(e *Email) bool {
 			}
 		}
 	}
-	if c.matchPat(patReflectionBody, m.Text()) {
+	if reflectionBody {
 		return true
 	}
-	if c.matchPat(patSystemUser, mailmsg.Addr(e.SenderAddr)) || c.matchPat(patSystemUser, mailmsg.Addr(m.From())) {
+	if matchOn(c.cfg.Oracle, patSystemUser, mailmsg.Addr(e.SenderAddr)) || matchOn(c.cfg.Oracle, patSystemUser, mailmsg.Addr(m.From())) {
 		return true
 	}
 	return false
@@ -255,23 +235,25 @@ type Prepared struct {
 	hasSender, hasBag bool
 }
 
-// Prepare runs everything in the funnel but Layer 3 on one email. It
-// reads only the classifier's configuration, so any goroutine may call
-// it in any order.
+// Prepare runs everything in the funnel but Layer 3 on one email. Its
+// content facts come from the classifier's memo, so each distinct
+// content is worked out once; the envelope and header checks run for
+// every email. It reads only the classifier's configuration and memo,
+// so any goroutine may call it in any order.
 func (c *Classifier) Prepare(e *Email) Prepared {
-	sender, text := mailmsg.Addr(e.SenderAddr), e.Msg.Text()
-	bag, hasBag := BagOfWords(text)
-	p := Prepared{Email: e, hasSender: sender != "", hasBag: hasBag}
+	f := c.facts(e.Msg)
+	sender := mailmsg.Addr(e.SenderAddr)
+	p := Prepared{Email: e, hasSender: sender != "", hasBag: f.hasBag}
 	p.Keys.Rcpt = hashKey("", mailmsg.Addr(e.RcptAddr))
 	p.Keys.Sender = hashKey("", sender)
-	p.Keys.Content = contentKey(text, bag, hasBag)
+	p.Keys.Content = f.content
 	if c.layer1(e) {
 		p.verdict, p.layer = VerdictSpamHeader, 1
 	} else if HasForbiddenArchive(e.Msg) {
 		p.verdict, p.layer = VerdictSpamArchive, 2
-	} else if score, hits := c.cfg.Scorer.Score(e.Msg); score >= c.cfg.Scorer.Threshold {
+	} else if score, hits := c.cfg.Scorer.scoreWith(e.Msg, f.body); score >= c.cfg.Scorer.Threshold {
 		p.verdict, p.layer, p.rules = VerdictSpamScore, 2, hits
-	} else if c.layer4(e) {
+	} else if c.layer4(e, f.body.reflection) {
 		p.verdict, p.layer = VerdictReflection, 4
 	} else if e.SMTPTypoDomain && !c.registeredSuffix(mailmsg.AddrDomain(e.RcptAddr)) {
 		p.verdict = VerdictSMTPTypo

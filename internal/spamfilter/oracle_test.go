@@ -113,7 +113,7 @@ func (c *Oracle) ClassifyOne(e *Email) Result {
 		c.markSpam(e)
 		return Result{Email: e, Verdict: VerdictSpamCollab, Layer: 3}
 	}
-	if c.layer4(e) {
+	if c.layer4(e, matchOn(c.cfg.Oracle, patReflectionBody, e.Msg.Text())) {
 		return Result{Email: e, Verdict: VerdictReflection, Layer: 4}
 	}
 	if e.SMTPTypoDomain && !c.registeredSuffix(mailmsg.AddrDomain(e.RcptAddr)) {

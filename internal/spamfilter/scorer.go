@@ -6,7 +6,6 @@
 package spamfilter
 
 import (
-	"regexp"
 	"slices"
 	"sort"
 	"strings"
@@ -19,67 +18,90 @@ import (
 // ran with ("local mode with the default thresholds").
 const DefaultThreshold = 5.0
 
-// RuleInput is one message prepared for scoring: the derived texts the
-// content rules scan, materialized once, plus lazily obtained engine
-// scan handles shared by every rule that reads the same text.
+// RuleInput is one message prepared for scoring: the message, its
+// lazily derived text, and the content rules' evidence (bodyFacts),
+// computed on first use or handed in by the funnel's content memo.
 type RuleInput struct {
-	m    *mailmsg.Message
-	text string // m.Text(), cached (HTML-only bodies strip per call)
-
-	textSubj, textScan, textHTML *match.Scan
-	phraseHits                   int // spam-phrase count in text+subject; -1 until computed
-}
-
-func newRuleInput(m *mailmsg.Message) RuleInput {
-	return RuleInput{m: m, text: m.Text(), phraseHits: -1}
+	m       *mailmsg.Message
+	oracle  bool // match on the stdlib regexps instead of the engine
+	text    string
+	hasText bool
+	body    bodyFacts
+	hasBody bool
 }
 
 // Msg returns the message being scored.
 func (in *RuleInput) Msg() *mailmsg.Message { return in.m }
 
-// Text is the cached m.Text().
-func (in *RuleInput) Text() string { return in.text }
-
-// scanTextSubj scans Text+" "+Subject — the spam-phrase haystack, built
-// once and shared by both PHRASES rules (a phrase may span the joint).
-func (in *RuleInput) scanTextSubj() *match.Scan {
-	if in.textSubj == nil {
-		in.textSubj = ruleEngine.Scan(in.text + " " + in.m.Subject())
+// Text is m.Text(), computed once.
+func (in *RuleInput) Text() string {
+	if !in.hasText {
+		in.text, in.hasText = in.m.Text(), true
 	}
-	return in.textSubj
+	return in.text
 }
 
-func (in *RuleInput) scanText() *match.Scan {
-	if in.textScan == nil {
-		in.textScan = ruleEngine.Scan(in.text)
+// facts returns the content rules' evidence, computing it on first use.
+func (in *RuleInput) facts() *bodyFacts {
+	if !in.hasBody {
+		in.body, in.hasBody = bodyFactsOf(in.m.Subject(), in.m.Body, in.m.HTMLBody, in.Text(), in.oracle), true
 	}
-	return in.textScan
+	return &in.body
 }
 
-func (in *RuleInput) scanTextHTML() *match.Scan {
-	if in.textHTML == nil {
-		in.textHTML = ruleEngine.Scan(in.text + " " + in.m.HTMLBody)
-	}
-	return in.textHTML
+// bodyFacts is what the content rules know about a message: a pure
+// function of its Subject, Body and HTMLBody (text is m.Text()) and of
+// the matching path, so the funnel computes it once per distinct
+// content. reflection is no rule's: it is Layer 4's body test, read
+// off the same text scan.
+type bodyFacts struct {
+	phrases    int  // spam phrases in text+" "+subject, capped at 3
+	money      bool // a dollar amount in the text
+	manyLinks  bool // two or more URLs in text+" "+html
+	badTLDText bool // a bad-TLD address or URL in the text
+	badTLDHTML bool // ... or in the HTML body
+	htmlOnly   bool // blank text body beside an HTML body
+	shouty     bool // mostly upper-case letters in a long text
+	reflection bool // the text reads like automated mail
 }
 
-// spamPhrases counts spam phrases in text+subject (capped at 3, all the
-// rules need), computed once for both PHRASES rules.
-func (in *RuleInput) spamPhrases() int {
-	if in.phraseHits < 0 {
-		in.phraseHits = in.scanTextSubj().Count(patSpamPhrase, 3)
+// bodyFactsOf computes the content rules' evidence on the shared engine,
+// or on the stdlib oracle regexps.
+func bodyFactsOf(subject, body, html, text string, oracle bool) bodyFacts {
+	f := bodyFacts{htmlOnly: strings.TrimSpace(body) == "" && html != ""}
+	if oracle {
+		re := ruleEngine.Oracle
+		f.phrases = len(re(patSpamPhrase).FindAllString(text+" "+subject, 3))
+		f.money = re(patMoney).MatchString(text)
+		f.manyLinks = len(re(patURL).FindAllString(text+" "+html, 3)) >= 2
+		f.badTLDText = re(patBadTLD).MatchString(text)
+		f.badTLDHTML = re(patBadTLD).MatchString(html)
+		f.reflection = re(patReflectionBody).MatchString(text)
+	} else {
+		s := ruleEngine.Scan(text + " " + subject)
+		f.phrases = s.Count(patSpamPhrase, 3)
+		s.Release()
+		s = ruleEngine.Scan(text)
+		f.money, f.badTLDText = s.Match(patMoney), s.Match(patBadTLD)
+		f.reflection = s.Match(patReflectionBody)
+		s.Release()
+		s = ruleEngine.Scan(text + " " + html)
+		f.manyLinks = s.Count(patURL, 3) >= 2
+		s.Release()
+		f.badTLDHTML = html != "" && matchOn(false, patBadTLD, html)
 	}
-	return in.phraseHits
-}
-
-// release returns the scan handles to the engine pool.
-func (in *RuleInput) release() {
-	for _, s := range [...]*match.Scan{in.textSubj, in.textScan, in.textHTML} {
-		if s != nil {
-			s.Release()
+	letters, caps := 0, 0
+	for _, r := range text {
+		if r >= 'a' && r <= 'z' {
+			letters++
+		}
+		if r >= 'A' && r <= 'Z' {
+			letters++
+			caps++
 		}
 	}
-	in.textSubj, in.textScan, in.textHTML = nil, nil, nil
+	f.shouty = letters > 40 && float64(caps)/float64(letters) > 0.5
+	return f
 }
 
 // Rule is one scored heuristic of the Layer 2 scorer.
@@ -93,47 +115,60 @@ type Rule struct {
 type Scorer struct {
 	Threshold float64
 	Rules     []Rule
+	oracle    bool // content evidence from the stdlib regexps
 }
 
 // NewScorer returns a Scorer with the default rule set and threshold.
 // Its content rules run on the shared multi-pattern engine.
 func NewScorer() *Scorer {
-	return &Scorer{Threshold: DefaultThreshold, Rules: defaultRules(false)}
+	return &Scorer{Threshold: DefaultThreshold, Rules: defaultRules()}
 }
 
-// NewScorerOracle returns a Scorer whose content rules run the original
-// per-rule stdlib regexps — the reference the engine-backed scorer is
-// differentially tested against.
+// NewScorerOracle returns a Scorer whose content evidence comes from the
+// original per-rule stdlib regexps — the reference the engine-backed
+// scorer is differentially tested against.
 func NewScorerOracle() *Scorer {
-	return &Scorer{Threshold: DefaultThreshold, Rules: defaultRules(true)}
+	return &Scorer{Threshold: DefaultThreshold, Rules: defaultRules(), oracle: true}
 }
 
 // Score sums the scores of all matching rules and lists their names.
 func (s *Scorer) Score(m *mailmsg.Message) (float64, []string) {
-	in := newRuleInput(m)
+	return s.score(&RuleInput{m: m, oracle: s.oracle})
+}
+
+// scoreWith is Score on content evidence already worked out.
+func (s *Scorer) scoreWith(m *mailmsg.Message, body bodyFacts) (float64, []string) {
+	return s.score(&RuleInput{m: m, oracle: s.oracle, body: body, hasBody: true})
+}
+
+// score runs every rule on in, in order. The hit list is gathered on the
+// stack and copied out at its exact length; it is nil without hits.
+func (s *Scorer) score(in *RuleInput) (float64, []string) {
+	var buf [16]string
+	hits := buf[:0]
 	var total float64
-	var hits []string
 	for _, r := range s.Rules {
-		if r.Match(&in) {
+		if r.Match(in) {
 			total += r.Score
 			hits = append(hits, r.Name)
 		}
 	}
-	in.release()
-	return total, hits
+	if len(hits) == 0 {
+		return total, nil
+	}
+	return total, slices.Clone(hits)
 }
 
 // IsSpam reports whether the message scores at or above the threshold.
 // Unlike Score it does not materialize the rule-name list.
 func (s *Scorer) IsSpam(m *mailmsg.Message) bool {
-	in := newRuleInput(m)
+	in := RuleInput{m: m, oracle: s.oracle}
 	var total float64
 	for _, r := range s.Rules {
 		if r.Match(&in) {
 			total += r.Score
 		}
 	}
-	in.release()
 	return total >= s.Threshold
 }
 
@@ -168,102 +203,23 @@ var ruleEngine = match.MustCompile(
 	reflectionBodyPat, bounceSenderPat, systemUserPat,
 )
 
-var (
-	spamPhraseRe = regexp.MustCompile(spamPhrasePat)
-	moneyRe      = regexp.MustCompile(moneyPat)
-	urlRe        = regexp.MustCompile(urlPat)
-	badTLDRe     = regexp.MustCompile(badTLDPat)
-)
-
-// matchOnce answers a one-off engine Match on a (usually short) string.
-func matchOnce(pat int, text string) bool {
+// matchOn answers a one-off Match of pattern pat on a (usually short)
+// string: on the shared engine, or under oracle on the pattern's stdlib
+// regexp, the engine's reference.
+func matchOn(oracle bool, pat int, text string) bool {
+	if oracle {
+		return ruleEngine.Oracle(pat).MatchString(text)
+	}
 	s := ruleEngine.Scan(text)
 	ok := s.Match(pat)
 	s.Release()
 	return ok
 }
 
-func defaultRules(oracle bool) []Rule {
-	content := engineContentRules()
-	if oracle {
-		content = oracleContentRules()
-	}
-	s := structuralRules()
-	rules := make([]Rule, 0, len(s)+len(content))
-	rules = append(rules, s[:2]...)   // SUBJ_*
-	rules = append(rules, content...) // regex-backed content rules
-	return append(rules, s[2:]...)    // header/body-shape rules
-}
-
-// engineContentRules are the regex-backed rules on the engine path.
-func engineContentRules() []Rule {
-	return []Rule{
-		{
-			Name: "BODY_SPAM_PHRASES_2", Score: 1.6,
-			Match: func(in *RuleInput) bool { return in.spamPhrases() >= 2 },
-		},
-		{
-			Name: "BODY_SPAM_PHRASES_3", Score: 1.6,
-			Match: func(in *RuleInput) bool { return in.spamPhrases() >= 3 },
-		},
-		{
-			Name: "BODY_MONEY", Score: 0.7,
-			Match: func(in *RuleInput) bool { return in.scanText().Match(patMoney) },
-		},
-		{
-			Name: "BODY_MANY_LINKS", Score: 1.0,
-			Match: func(in *RuleInput) bool { return in.scanTextHTML().Count(patURL, 3) >= 2 },
-		},
-		{
-			Name: "SUSPICIOUS_TLD", Score: 1.4,
-			Match: func(in *RuleInput) bool {
-				return matchOnce(patBadTLD, in.m.From()) || in.scanText().Match(patBadTLD) ||
-					matchOnce(patBadTLD, in.m.HTMLBody) || matchOnce(patBadTLD, in.m.Header("Reply-To"))
-			},
-		},
-	}
-}
-
-// oracleContentRules are the same rules over the stdlib regexps.
-func oracleContentRules() []Rule {
-	return []Rule{
-		{
-			Name: "BODY_SPAM_PHRASES_2", Score: 1.6,
-			Match: func(in *RuleInput) bool {
-				return len(spamPhraseRe.FindAllString(in.text+" "+in.m.Subject(), 3)) >= 2
-			},
-		},
-		{
-			Name: "BODY_SPAM_PHRASES_3", Score: 1.6,
-			Match: func(in *RuleInput) bool {
-				return len(spamPhraseRe.FindAllString(in.text+" "+in.m.Subject(), 3)) >= 3
-			},
-		},
-		{
-			Name: "BODY_MONEY", Score: 0.7,
-			Match: func(in *RuleInput) bool { return moneyRe.MatchString(in.text) },
-		},
-		{
-			Name: "BODY_MANY_LINKS", Score: 1.0,
-			Match: func(in *RuleInput) bool {
-				return len(urlRe.FindAllString(in.text+" "+in.m.HTMLBody, 3)) >= 2
-			},
-		},
-		{
-			Name: "SUSPICIOUS_TLD", Score: 1.4,
-			Match: func(in *RuleInput) bool {
-				return badTLDRe.MatchString(in.m.From()) || badTLDRe.MatchString(in.text) ||
-					badTLDRe.MatchString(in.m.HTMLBody) || badTLDRe.MatchString(in.m.Header("Reply-To"))
-			},
-		},
-	}
-}
-
-// structuralRules are the non-regex rules, identical on both paths.
-// Split as [0:2] = the subject rules that open the rule list and [2:] =
-// the header/body-shape rules that close it; defaultRules reassembles
-// the historical order with the content rules in between.
-func structuralRules() []Rule {
+// defaultRules is the scorer's rule list, in its historical order:
+// subject rules, content rules, header and body-shape rules. The
+// content rules read bodyFacts; the rest read the message itself.
+func defaultRules() []Rule {
 	return []Rule{
 		{
 			Name: "SUBJ_ALL_CAPS", Score: 1.2,
@@ -292,6 +248,30 @@ func structuralRules() []Rule {
 			},
 		},
 		{
+			Name: "BODY_SPAM_PHRASES_2", Score: 1.6,
+			Match: func(in *RuleInput) bool { return in.facts().phrases >= 2 },
+		},
+		{
+			Name: "BODY_SPAM_PHRASES_3", Score: 1.6,
+			Match: func(in *RuleInput) bool { return in.facts().phrases >= 3 },
+		},
+		{
+			Name: "BODY_MONEY", Score: 0.7,
+			Match: func(in *RuleInput) bool { return in.facts().money },
+		},
+		{
+			Name: "BODY_MANY_LINKS", Score: 1.0,
+			Match: func(in *RuleInput) bool { return in.facts().manyLinks },
+		},
+		{
+			Name: "SUSPICIOUS_TLD", Score: 1.4,
+			Match: func(in *RuleInput) bool {
+				f := in.facts()
+				return matchOn(in.oracle, patBadTLD, in.m.From()) || f.badTLDText || f.badTLDHTML ||
+					matchOn(in.oracle, patBadTLD, in.m.Header("Reply-To"))
+			},
+		},
+		{
 			Name: "REPLYTO_DIFFERS", Score: 0.9,
 			Match: func(in *RuleInput) bool {
 				rt := mailmsg.Addr(in.m.Header("Reply-To"))
@@ -304,25 +284,11 @@ func structuralRules() []Rule {
 		},
 		{
 			Name: "HTML_ONLY", Score: 0.6,
-			Match: func(in *RuleInput) bool {
-				return strings.TrimSpace(in.m.Body) == "" && in.m.HTMLBody != ""
-			},
+			Match: func(in *RuleInput) bool { return in.facts().htmlOnly },
 		},
 		{
 			Name: "SHOUTY_BODY", Score: 0.8,
-			Match: func(in *RuleInput) bool {
-				letters, caps := 0, 0
-				for _, r := range in.text {
-					if r >= 'a' && r <= 'z' {
-						letters++
-					}
-					if r >= 'A' && r <= 'Z' {
-						letters++
-						caps++
-					}
-				}
-				return letters > 40 && float64(caps)/float64(letters) > 0.5
-			},
+			Match: func(in *RuleInput) bool { return in.facts().shouty },
 		},
 	}
 }

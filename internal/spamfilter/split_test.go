@@ -3,6 +3,7 @@ package spamfilter_test
 import (
 	"fmt"
 	"reflect"
+	"sort"
 	"sync"
 	"testing"
 	"time"
@@ -168,4 +169,169 @@ func TestClassifyOneConcurrent(t *testing.T) {
 	for e := range errs {
 		t.Error(e)
 	}
+}
+
+// memoPairs are hand-built emails in pairs that differ in one field
+// only: Subject, Body or HTMLBody (different content, so the memo must
+// miss) or From or Reply-To (same content, so the memo hits while the
+// header checks must still see the difference).
+func memoPairs() [][2]*spamfilter.Email {
+	type msg struct{ from, replyTo, subject, body, html string }
+	base := msg{"carol@gmail.com", "", "lunch", "see you at noon near the old market square", ""}
+	long := "thanks for the notes from the meeting yesterday, the draft looks good and I will send the revised budget with two appendices before friday so we can review the numbers together"
+	// Two spam phrases, a dollar amount and a .biz link score 3.7; a
+	// third phrase in the subject lifts it over the threshold.
+	pitch := msg{base.from, "", "lunch", "dear friend, order now: the deal is $12 at http://deals.biz/x", ""}
+	pairs := []struct{ a, b msg }{
+		{pitch, msg{pitch.from, "", "winner", pitch.body, ""}},
+		{base, msg{base.from, "", base.subject, long, ""}},
+		{msg{base.from, "", "digest", "", "<p>" + long + "</p>"},
+			msg{base.from, "", "digest", "", "<p>you are receiving this, unsubscribe at http://a.example/u http://a.example/v</p>"}},
+		{base, msg{"postmaster@gmail.com", "", base.subject, base.body, ""}},
+		{base, msg{base.from, "dave@yahoo.com", base.subject, base.body, ""}},
+	}
+	email := func(m msg, k int) *spamfilter.Email {
+		b := mailmsg.NewBuilder(m.from, "bob@gmial.com", m.subject).MessageID(fmt.Sprintf("p%d@gmail.com", k)).Body(m.body)
+		if m.html != "" {
+			b = b.HTML(m.html)
+		}
+		if m.replyTo != "" {
+			b = b.Header("Reply-To", m.replyTo)
+		}
+		return &spamfilter.Email{Msg: b.Build(), ServerDomain: "gmial.com", RcptAddr: "bob@gmial.com",
+			SenderAddr: "carol@gmail.com", Received: splitT0.Add(time.Duration(k) * time.Minute)}
+	}
+	out := make([][2]*spamfilter.Email, len(pairs))
+	for i, p := range pairs {
+		out[i] = [2]*spamfilter.Email{email(p.a, 2*i), email(p.b, 2*i+1)}
+	}
+	return out
+}
+
+// memoStream is more distinct contents than the memo holds, with 40
+// recurring campaign bodies mixed in every third email, so the memo
+// both evicts one-off bodies and promotes recurring ones.
+func memoStream() []*spamfilter.Email {
+	var out []*spamfilter.Email
+	for i := 0; i < 2400; i++ {
+		body := fmt.Sprintf("one-off note %d about the quarterly plan and the team offsite schedule for the spring with agenda items %d %d %d", i, i*7, i*11, i*13)
+		if i%3 == 0 {
+			body = fmt.Sprintf("campaign %d: dear friend, act now for the lowest prices on watches, bags and more, all shipped free from our warehouse", (i/3)%40)
+		}
+		msg := mailmsg.NewBuilder(fmt.Sprintf("s%d@mail%d.example", i%50, i%9), "u@gmial.com", fmt.Sprintf("note %d", i%5)).
+			MessageID(fmt.Sprintf("m%d@mail.example", i)).Body(body).Build()
+		out = append(out, &spamfilter.Email{Msg: msg, ServerDomain: "gmial.com", RcptAddr: fmt.Sprintf("u%d@gmial.com", i%11),
+			SenderAddr: mailmsg.Addr(msg.From()), Received: splitT0.Add(time.Duration(i) * time.Second)})
+	}
+	return out
+}
+
+// freshPrepare is the memo's plain oracle: a classifier of its own for
+// one email, so its memo never hits.
+func freshPrepare(cfg spamfilter.Config, e *spamfilter.Email) spamfilter.Prepared {
+	return spamfilter.NewClassifier(cfg).Prepare(e)
+}
+
+// freshClassify is Classify over freshPrepare: prepare every email
+// on its own classifier, decide in arrival order, then Layer 5.
+func freshClassify(cfg spamfilter.Config, emails []*spamfilter.Email) []spamfilter.Result {
+	ordered := append([]*spamfilter.Email(nil), emails...)
+	sort.SliceStable(ordered, func(i, j int) bool { return ordered[i].Received.Before(ordered[j].Received) })
+	c := spamfilter.NewClassifier(cfg)
+	prep := make([]spamfilter.Prepared, len(ordered))
+	results := make([]spamfilter.Result, len(ordered))
+	freq := spamfilter.NewFreqTables()
+	for i, e := range ordered {
+		prep[i] = freshPrepare(cfg, e)
+		if results[i] = c.Decide(&prep[i]); results[i].Verdict.IsTrueTypo() {
+			freq.Add(prep[i].Keys)
+		}
+	}
+	for i := range results {
+		c.ApplyLayer5(&results[i], prep[i].Keys, freq)
+	}
+	return results
+}
+
+// TestPrepareMemoMatchesFresh holds the content memo to freshPrepare:
+// every Prepared field, and the ClassifyOne and Classify verdicts, must
+// equal those of a classifier that never hits its memo — over the
+// split corpus, the one-field pairs and a stream that overflows the
+// memo, preparing concurrently on eight workers as well as on one, and
+// with concurrent ClassifyOne callers.
+func TestPrepareMemoMatchesFresh(t *testing.T) {
+	defer par.SetWorkers(0)
+	emails := append(splitCorpus(), memoStream()...)
+	cfg := spamfilter.Config{OurDomains: splitDomains()}
+	for _, p := range memoPairs() {
+		a, b := freshPrepare(cfg, p[0]), freshPrepare(cfg, p[1])
+		b.Email = a.Email
+		if reflect.DeepEqual(a, b) {
+			t.Fatalf("pair %q / %q prepares identically, so it tests nothing", p[0].Msg.Subject(), p[1].Msg.Subject())
+		}
+		emails = append(emails, p[0], p[1])
+	}
+	want := make([]spamfilter.Prepared, len(emails))
+	for i, e := range emails {
+		want[i] = freshPrepare(cfg, e)
+	}
+	sameResult := func(what string, i int, g, w spamfilter.Result) {
+		t.Helper()
+		if g.Email != w.Email || g.Verdict != w.Verdict || g.Layer != w.Layer ||
+			g.FreqOf != w.FreqOf || !reflect.DeepEqual(g.Rules, w.Rules) {
+			t.Fatalf("%s email %d: got %v/L%d rules %v, fresh %v/L%d rules %v",
+				what, i, g.Verdict, g.Layer, g.Rules, w.Verdict, w.Layer, w.Rules)
+		}
+	}
+	for _, workers := range []int{1, 8} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			par.SetWorkers(workers)
+			c := spamfilter.NewClassifier(cfg)
+			for pass := 0; pass < 2; pass++ { // the second pass meets a warm memo
+				got := make([]spamfilter.Prepared, len(emails))
+				par.For(len(emails), func(i int) { got[i] = c.Prepare(emails[i]) })
+				for i := range got {
+					if !reflect.DeepEqual(got[i], want[i]) {
+						t.Fatalf("pass %d email %d (%q): memo Prepare %+v, fresh %+v", pass, i, emails[i].Msg.Subject(), got[i], want[i])
+					}
+				}
+			}
+
+			c, oracle := spamfilter.NewClassifier(cfg), spamfilter.NewClassifier(cfg)
+			for i, e := range emails {
+				p := freshPrepare(cfg, e)
+				sameResult("ClassifyOne", i, c.ClassifyOne(e), oracle.Decide(&p))
+			}
+			fresh := freshClassify(cfg, emails)
+			for i, r := range spamfilter.NewClassifier(cfg).Classify(emails) {
+				sameResult("Classify", i, r, fresh[i])
+			}
+		})
+	}
+
+	// Concurrent ClassifyOne callers share one memo. Layer 3 verdicts
+	// depend on the interleaving, so each result is held to its own
+	// email's Layer 1, 2 and 4 outcome: the same, or collaborative spam
+	// in place of a non-spam verdict.
+	c := spamfilter.NewClassifier(cfg)
+	const goroutines = 8
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := g; i < len(emails); i += goroutines {
+				r := c.ClassifyOne(emails[i])
+				w := spamfilter.NewClassifier(cfg).Decide(&want[i])
+				if r.Verdict == spamfilter.VerdictSpamCollab && !w.Verdict.IsSpamVerdict() {
+					continue
+				}
+				if r.Verdict != w.Verdict || r.Layer != w.Layer || !reflect.DeepEqual(r.Rules, w.Rules) {
+					t.Errorf("concurrent email %d: got %v/L%d rules %v, fresh %v/L%d rules %v",
+						i, r.Verdict, r.Layer, r.Rules, w.Verdict, w.Layer, w.Rules)
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }

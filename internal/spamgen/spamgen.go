@@ -14,7 +14,6 @@
 package spamgen
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 
@@ -88,6 +87,7 @@ func (g *Generator) DayVolume(day int, attractiveness float64, smtpTrap bool) in
 // Layer 1 tell). For SMTP traps the recipients are third parties.
 func (g *Generator) Materialize(n int, ourDomain string, smtpTrap bool) []*spamfilter.Email {
 	out := make([]*spamfilter.Email, 0, n)
+	spoofed := "admin@" + ourDomain
 	for i := 0; i < n; i++ {
 		// Campaigns are drawn from a fixed global pool: real campaigns
 		// repeat the same body far past Layer 5's content threshold, which
@@ -96,16 +96,16 @@ func (g *Generator) Materialize(n int, ourDomain string, smtpTrap bool) []*spamf
 		// would all collapse onto campaign zero.
 		campaign := g.rng.Intn(400)
 		msg := corpus.CampaignMessage(g.rng, campaign, 0.25)
-		rcpt := fmt.Sprintf("%s@%s", users.RandomLocalPart(g.rng), ourDomain)
+		rcpt := users.RandomLocalPart(g.rng) + "@" + ourDomain
 		if smtpTrap {
-			rcpt = fmt.Sprintf("%s@%s", users.RandomLocalPart(g.rng),
-				[]string{"gmail.com", "yahoo.com", "corp.example"}[g.rng.Intn(3)])
+			rcpt = users.RandomLocalPart(g.rng) + "@" +
+				[]string{"gmail.com", "yahoo.com", "corp.example"}[g.rng.Intn(3)]
 		}
 		msg.SetHeader("To", rcpt)
 		sender := mailmsg.Addr(msg.From())
 		if g.rng.Float64() < 0.08 {
 			// Spammers posing as the destination domain (Layer 1 catches it).
-			sender = fmt.Sprintf("admin@%s", ourDomain)
+			sender = spoofed
 			msg.SetHeader("From", sender)
 		}
 		if g.rep != nil {
