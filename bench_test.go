@@ -455,8 +455,9 @@ func BenchmarkFullCollectionRun(b *testing.B) {
 }
 
 // BenchmarkStudyThroughput drives a full collection run end-to-end
-// through the streaming substrate — chunked two-pass generation,
-// encrypted disk spill, log-structured on-disk vault — and reports two
+// through the streaming substrate — chunked generation with a Layer 5
+// survivor replay, encrypted disk spill, log-structured on-disk vault —
+// and reports two
 // custom units beside the standard columns: emails/sec (materialized
 // emails pushed through the five-layer funnel per wall-clock second)
 // and peak_MB (maximum heap a background runtime.ReadMemStats sampler

@@ -20,22 +20,20 @@ func timeFromUnixNano(ns int64) time.Time { return time.Unix(0, ns).UTC() }
 // non-outage day in day order with that day's traffic already stably
 // sorted by Received — which is the same order the materialized path's
 // single global stable sort visits them in, because every email lands
-// within its day and days are disjoint. Each email arrives with its
+// within its day and days are disjoint. Every email arrives with its
 // spamfilter.Prepare evidence, computed on the par pool, so the
 // callbacks run only the ordered part of the funnel.
 type streamSink struct {
-	// samples, when set, makes units build their spam samples
-	// (generateUnit) and prepare them on the worker that generated
-	// them; a pass that never reads samples skips the work without
-	// changing any other unit output.
+	// samples prepares each unit's spam samples on the worker that
+	// generated them.
 	samples *spamfilter.Classifier
 	// traffic prepares each drained day's typo-candidate emails.
 	traffic *spamfilter.Classifier
-	onUnit  func(u genUnit, out *unitResult) error
+	onUnit  func(u genUnit, out *unitResult)
 	onDay   func(day int, emails []pendEmail, prep []spamfilter.Prepared) error
 }
 
-// streamChunks drives one pass over the collection: generate
+// streamChunks drives the pass over the collection: generate
 // StreamChunkDays-sized chunks of units on the par pool (par.MapAt keeps
 // each unit on the same PRNG sub-stream as the unchunked par.Map), merge
 // them in unit order, and drain every day that can no longer receive
@@ -44,7 +42,12 @@ type streamSink struct {
 // are prepared in a single par fan-out before they replay in order. The
 // pending queue bounds the working set; with a spill dir it stays
 // bounded even when episodes trail their cause by many days.
-func (s *Study) streamChunks(q *pendQueue, rates []typoRates, sink streamSink) error {
+func (s *Study) streamChunks(rates []typoRates, sink streamSink) error {
+	q, err := newPendQueue(s.Cfg.SpillDir, "pending", s.Cfg.SpillBudgetBytes)
+	if err != nil {
+		return err
+	}
+	defer q.close()
 	start := simclock.CollectionStart
 	chunkDays := s.Cfg.StreamChunkDays
 	if chunkDays <= 0 {
@@ -57,16 +60,19 @@ func (s *Study) streamChunks(q *pendQueue, rates []typoRates, sink streamSink) e
 		if len(chunk) > 0 {
 			outs := par.MapAt(seed, base, chunk,
 				func(_ int, u genUnit, rng *rand.Rand) unitResult {
-					out := s.generateUnit(u, rates[u.di], rng, start, sink.samples != nil)
+					out := s.generateUnit(u, rates[u.di], rng, start)
 					out.prepared = make([]spamfilter.Prepared, len(out.samples))
 					for i, e := range out.samples {
 						out.prepared[i] = sink.samples.Prepare(e)
 					}
 					return out
 				})
-			for k := range chunk {
-				if err := sink.onUnit(chunk[k], &outs[k]); err != nil {
-					return err
+			for k, u := range chunk {
+				sink.onUnit(u, &outs[k])
+				for _, se := range outs[k].sched {
+					if err := q.add(se.day, pendEmail{e: se.e, di: u.di, contaminant: se.contaminant}); err != nil {
+						return err
+					}
 				}
 			}
 			base += len(chunk)
@@ -118,9 +124,9 @@ func (s *Study) streamChunks(q *pendQueue, rates []typoRates, sink streamSink) e
 	return flush(s.Cfg.Days)
 }
 
-// calSurvivor is a calibration sample that cleared layers 1–4 in pass
-// one; its Layer 5 fate is decided once the corpus-wide frequency tables
-// are complete, just like Classify's second sweep.
+// calSurvivor is a calibration sample that cleared layers 1–4 during
+// the pass; its Layer 5 fate is decided once the corpus-wide frequency
+// tables are complete, just like Classify's second sweep.
 type calSurvivor struct {
 	isTrap bool
 	keys   spamfilter.FreqKeys
@@ -135,9 +141,9 @@ type domainTally struct {
 // streaming run. The materialized path performs all float volume
 // allocations before any classification +1, so each accumulator sees
 // "volume adds, then N unit increments"; the streaming run reproduces
-// that exact per-accumulator sequence by counting during replay and
-// applying repeated += 1 at the end (never += N — float addition does
-// not distribute).
+// that exact per-accumulator sequence by counting as verdicts become
+// final and applying repeated += 1 at the end (never += N — float
+// addition does not distribute).
 type streamTally struct {
 	domains map[string]*domainTally
 	series  map[*simclock.DaySeries][]int
@@ -208,30 +214,31 @@ func (t *streamTally) apply(res *Result) {
 	}
 }
 
-// runStreaming is Run's chunked two-pass equivalent: byte-identical
-// output with a working set bounded by the chunk size, the pending
-// queue's spill budget and the (small) corpus-wide frequency tables,
-// instead of the whole materialized collection.
+// runStreaming is Run's chunked equivalent: byte-identical output with
+// a working set bounded by the chunk size, the pending queue's spill
+// budget and the (small) corpus-wide frequency tables, instead of the
+// whole materialized collection.
 //
-// Layer 5 of the funnel is corpus-wide, so one pass cannot classify:
-// pass one streams generation to harvest the calibration tallies and the
-// Layer 5 frequency tables; pass two regenerates the identical traffic
-// (generateUnit is a pure function of the unit and its PRNG sub-stream)
-// minus the spam samples, which only pass one reads, allocates the
-// aggregate volumes in unit order, and replays the funnel
-// day by day against a fresh classifier with the harvested tables —
-// exactly the decomposition Classify performs in one sweep.
+// Layer 5 of the funnel is corpus-wide, so no email can be given its
+// final verdict before the whole window has been seen. One pass streams
+// generation, decides every email through layers 1–4 in arrival order,
+// and harvests the calibration tallies and the Layer 5 frequency
+// tables. Every email a layer 1–4 filter caught is final then and is
+// counted at once; each survivor goes, in arrival order, to a survivor
+// log with its verdict and keys. Once the pass is over, the unit
+// volumes are allocated in unit order and the log replays through
+// ApplyLayer5 with the completed tables — exactly the decomposition
+// Classify performs in one sweep.
 func (s *Study) runStreaming(rates []typoRates) (*Result, error) {
 	ourDomains := s.ourDomainSet()
 	start := simclock.CollectionStart
 	res := s.newResult(start)
 
-	// ---- Pass 1: calibration + Layer 5 frequency harvest.
-	q1, err := newPendQueue(s.Cfg.SpillDir, "pass1", s.Cfg.SpillBudgetBytes)
+	survivors, err := newSurvivorLog(s.Cfg.SpillDir)
 	if err != nil {
 		return nil, err
 	}
-	defer q1.close()
+	defer survivors.close()
 
 	calCls := spamfilter.NewClassifier(spamfilter.Config{
 		OurDomains:       ourDomains,
@@ -242,16 +249,17 @@ func (s *Study) runStreaming(rates []typoRates) (*Result, error) {
 	cal := map[bool]*spamCalib{false: {}, true: {}}
 	calFreq := spamfilter.NewFreqTables()
 	var calSurv []calSurvivor
-	cls1 := spamfilter.NewClassifier(spamfilter.Config{OurDomains: ourDomains})
+	cls := spamfilter.NewClassifier(spamfilter.Config{OurDomains: ourDomains})
 	mainFreq := spamfilter.NewFreqTables()
+	tally := newStreamTally(s.Cfg.Days)
+	volumes := make([]float64, 0, s.Cfg.Days*len(s.Domains)) // unit order
 	emailsSeen := 0
 
-	err = s.streamChunks(q1, rates, streamSink{
+	err = s.streamChunks(rates, streamSink{
 		samples: calCls,
-		traffic: cls1,
-		onUnit: func(u genUnit, out *unitResult) error {
-			d := &s.Domains[u.di]
-			isTrap := d.Kind == KindSMTPTrap
+		traffic: cls,
+		onUnit: func(u genUnit, out *unitResult) {
+			isTrap := s.Domains[u.di].Kind == KindSMTPTrap
 			// Calibration samples arrive nondecreasing in Received
 			// (day-major at a fixed hour), so deciding them here in
 			// unit order matches calCls.Classify's stable sort exactly.
@@ -271,23 +279,24 @@ func (s *Study) runStreaming(rates []typoRates) (*Result, error) {
 				}
 			}
 			emailsSeen += len(out.prepared)
-			for _, se := range out.sched {
-				if err := q1.add(se.day, pendEmail{e: se.e, di: u.di, contaminant: se.contaminant}); err != nil {
-					return err
-				}
-			}
+			volumes = append(volumes, out.volume)
 			res.SMTPPersistence = append(res.SMTPPersistence, out.persistence...)
 			res.SMTPEpisodeSizes = append(res.SMTPEpisodeSizes, out.episodeSizes...)
-			return nil
 		},
 		onDay: func(day int, emails []pendEmail, prep []spamfilter.Prepared) error {
-			for i := range prep {
-				if r := cls1.Decide(&prep[i]); r.Verdict.IsTrueTypo() {
-					mainFreq.Add(prep[i].Keys)
+			for i := range emails {
+				pe := &emails[i]
+				r := cls.Decide(&prep[i])
+				if !r.Verdict.IsTrueTypo() {
+					s.recordStreamed(res, tally, r, pe)
+					continue
 				}
+				mainFreq.Add(prep[i].Keys)
+				pe.verdict, pe.keys = r.Verdict, prep[i].Keys
+				survivors.add(*pe)
 			}
 			emailsSeen += len(emails)
-			return nil
+			return survivors.seal()
 		},
 	})
 	if err != nil {
@@ -295,8 +304,9 @@ func (s *Study) runStreaming(rates []typoRates) (*Result, error) {
 	}
 
 	// Resolve the deferred calibration Layer 5 now the corpus-wide
-	// frequencies are complete, then release the calibration state —
-	// pass two only needs the fraction tallies and mainFreq.
+	// frequencies are complete, then release the calibration state and
+	// the pass's classifier: the replay needs only the fraction
+	// tallies, mainFreq and the default Layer 5 thresholds.
 	for _, sv := range calSurv {
 		c := cal[sv.isTrap]
 		if calCls.KeysExceed(calFreq, sv.keys) {
@@ -305,69 +315,17 @@ func (s *Study) runStreaming(rates []typoRates) (*Result, error) {
 			c.escaped++
 		}
 	}
-	calSurv, calFreq = nil, nil
+	calSurv, calFreq, cls = nil, nil, nil
 
-	// ---- Pass 2: allocate aggregates, replay the funnel.
-	q2, err := newPendQueue(s.Cfg.SpillDir, "pass2", s.Cfg.SpillBudgetBytes)
-	if err != nil {
-		return nil, err
-	}
-	defer q2.close()
+	s.allocateVolumes(res, cal, volumes)
+	volumes = nil
 
-	cls2 := spamfilter.NewClassifier(spamfilter.Config{OurDomains: ourDomains})
-	tally := newStreamTally(s.Cfg.Days)
-
-	err = s.streamChunks(q2, rates, streamSink{
-		traffic: cls2,
-		onUnit: func(u genUnit, out *unitResult) error {
-			d := &s.Domains[u.di]
-			isTrap := d.Kind == KindSMTPTrap
-			when := start.Add(time.Duration(u.day)*24*time.Hour + 12*time.Hour)
-			fSpam, fFilt, fEsc := calibFractions(cal[isTrap])
-			stats := res.PerDomain[d.Name]
-			stats.SpamYearly += out.volume * fSpam
-			stats.FilteredYearly += out.volume * fFilt
-			stats.SpamEscapedYearly += out.volume * fEsc
-			if isTrap {
-				res.SMTPSpamDaily.Add(when, out.volume*fSpam)
-				res.SMTPFilteredDaily.Add(when, out.volume*fFilt)
-				res.SMTPTrueDaily.Add(when, out.volume*fEsc)
-			} else {
-				res.ReceiverSpamDaily.Add(when, out.volume*fSpam)
-				res.ReceiverFilteredDaily.Add(when, out.volume*fFilt)
-				res.ReceiverTrueDaily.Add(when, out.volume*fEsc)
-			}
-			for _, se := range out.sched {
-				if err := q2.add(se.day, pendEmail{e: se.e, di: u.di, contaminant: se.contaminant}); err != nil {
-					return err
-				}
-			}
-			return nil
-		},
-		onDay: func(day int, emails []pendEmail, prep []spamfilter.Prepared) error {
-			for i := range emails {
-				pe := &emails[i]
-				d := &s.Domains[pe.di]
-				r := cls2.Decide(&prep[i])
-				cls2.ApplyLayer5(&r, prep[i].Keys, mainFreq)
-				if pe.contaminant {
-					dt := tally.domain(d.Name)
-					if r.Verdict.IsTrueTypo() {
-						dt.spamEscaped++
-						if d.Kind == KindSMTPTrap {
-							tally.hit(res.SMTPTrueDaily, r.Email.Received)
-						} else {
-							tally.hit(res.ReceiverTrueDaily, r.Email.Received)
-						}
-					} else {
-						dt.spam++
-					}
-					continue
-				}
-				s.recordTypoStreamed(res, tally, r, d)
-			}
-			return nil
-		},
+	layer5 := spamfilter.NewClassifier(spamfilter.Config{OurDomains: ourDomains})
+	err = survivors.drain(func(pe *pendEmail) error {
+		r := spamfilter.Result{Email: pe.e, Verdict: pe.verdict}
+		layer5.ApplyLayer5(&r, pe.keys, mainFreq)
+		s.recordStreamed(res, tally, r, pe)
+		return nil
 	})
 	if err != nil {
 		return nil, err
@@ -379,10 +337,33 @@ func (s *Study) runStreaming(rates []typoRates) (*Result, error) {
 	return res, nil
 }
 
+// recordStreamed folds one email's final verdict into the tally. A
+// contaminant scam that survived is contamination among the apparent
+// typos, one the funnel caught is ordinary spam; every other email goes
+// through recordTypoStreamed.
+func (s *Study) recordStreamed(res *Result, t *streamTally, r spamfilter.Result, pe *pendEmail) {
+	d := &s.Domains[pe.di]
+	if !pe.contaminant {
+		s.recordTypoStreamed(res, t, r, d)
+		return
+	}
+	dt := t.domain(d.Name)
+	if !r.Verdict.IsTrueTypo() {
+		dt.spam++
+		return
+	}
+	dt.spamEscaped++
+	if d.Kind == KindSMTPTrap {
+		t.hit(res.SMTPTrueDaily, r.Email.Received)
+	} else {
+		t.hit(res.ReceiverTrueDaily, r.Email.Received)
+	}
+}
+
 // recordTypoStreamed mirrors recordTypoResult with the integer counts
 // deferred into the tally; the sanitizer/vault path runs inline because
-// vault record IDs depend on Put order, which the day-by-day replay
-// already visits in the materialized loop's exact sequence.
+// vault record IDs depend on Put order, which the survivor log's replay
+// visits in the materialized loop's exact sequence.
 func (s *Study) recordTypoStreamed(res *Result, t *streamTally, r spamfilter.Result, d *StudyDomain) {
 	dt := t.domain(d.Name)
 	when := r.Email.Received

@@ -28,7 +28,7 @@ func runConfig(t *testing.T, cfg Config, workers int) string {
 }
 
 // TestStreamingSeedEquivalence is the streaming substrate's contract:
-// the chunked two-pass run is byte-identical to the materialized run for
+// the chunked run is byte-identical to the materialized run for
 // any worker count, chunk size, and spill budget.
 func TestStreamingSeedEquivalence(t *testing.T) {
 	defer par.SetWorkers(0)
@@ -197,6 +197,144 @@ func TestPendQueueDrop(t *testing.T) {
 	if err != nil || len(got) != 0 {
 		t.Fatalf("take after drop: got %d emails, err %v", len(got), err)
 	}
+}
+
+// TestPendEmailCodecRoundTrip checks the spill frame's plaintext codec:
+// every field of a survivor entry (queue metadata, verdict, Layer 5
+// keys, envelope, message) survives the round trip, and every truncated
+// prefix of a frame is rejected rather than decoded short.
+func TestPendEmailCodecRoundTrip(t *testing.T) {
+	e := pendTestEmail(3, "survivor body")
+	e.SMTPTypoDomain = true
+	e.Msg.Attachments = append(e.Msg.Attachments, mailmsg.Attachment{Filename: "a.txt", ContentType: "text/plain", Data: []byte("attached")})
+	in := pendEmail{
+		e: e, di: 41, contaminant: true,
+		verdict: spamfilter.VerdictSMTPTypo,
+		keys:    spamfilter.FreqKeys{Rcpt: 1 << 63, Sender: 0x0123456789abcdef, Content: 7},
+	}
+	wire := encodePendEmail(nil, &in)
+	out, err := decodePendEmail(wire)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out.di != in.di || out.contaminant != in.contaminant || out.verdict != in.verdict || out.keys != in.keys {
+		t.Fatalf("metadata: got di=%d contaminant=%v verdict=%v keys=%+v, want di=%d contaminant=%v verdict=%v keys=%+v",
+			out.di, out.contaminant, out.verdict, out.keys, in.di, in.contaminant, in.verdict, in.keys)
+	}
+	if out.e.ServerDomain != e.ServerDomain || out.e.RcptAddr != e.RcptAddr || out.e.SenderAddr != e.SenderAddr ||
+		out.e.SMTPTypoDomain != e.SMTPTypoDomain || !out.e.Received.Equal(e.Received) {
+		t.Fatalf("envelope: got %+v, want %+v", *out.e, *e)
+	}
+	if got, want := string(out.e.Msg.AppendWire(nil)), string(e.Msg.AppendWire(nil)); got != want {
+		t.Fatal("message differs after the round trip")
+	}
+	for n := 0; n < len(wire); n++ {
+		if _, err := decodePendEmail(wire[:n]); err == nil {
+			t.Fatalf("a %d-byte prefix of the %d-byte frame decoded without error", n, len(wire))
+		}
+	}
+}
+
+// TestSurvivorLog checks the survivor log's contract: entries drain in
+// the order added across sealed and resident ones, sealed bytes are
+// ciphertext, a torn frame is an error, and no spill file outlives a
+// drain or a close.
+func TestSurvivorLog(t *testing.T) {
+	body := func(i int) string { return fmt.Sprintf("survivor %d padding padding padding", i) }
+	fill := func(t *testing.T, l *survivorLog, n int, sealEvery int) {
+		t.Helper()
+		for i := 0; i < n; i++ {
+			l.add(pendEmail{e: pendTestEmail(i%5, body(i)), di: i, verdict: spamfilter.VerdictReceiverTypo,
+				keys: spamfilter.FreqKeys{Rcpt: spamfilter.FreqKey(i), Content: spamfilter.FreqKey(3 * i)}})
+			if (i+1)%sealEvery == 0 {
+				if err := l.seal(); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	spills := func(dir string) []string {
+		left, _ := filepath.Glob(filepath.Join(dir, "*.spill"))
+		return left
+	}
+
+	for _, tc := range []struct {
+		name  string
+		spill bool
+	}{{"sealed", true}, {"resident", false}} {
+		t.Run(tc.name+"/fifo", func(t *testing.T) {
+			dir := t.TempDir()
+			logDir := ""
+			if tc.spill {
+				logDir = dir
+			}
+			l, err := newSurvivorLog(logDir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer l.close()
+			const n = 23 // seals at 7, 14, 21; the last two stay resident
+			fill(t, l, n, 7)
+			if tc.spill {
+				segs := spills(dir)
+				if len(segs) != 1 || l.frames != 21 || len(l.mem) != 2 {
+					t.Fatalf("after sealing: files %v, %d frames, %d resident; want 1 file, 21, 2", segs, l.frames, len(l.mem))
+				}
+				raw, err := os.ReadFile(segs[0])
+				if err != nil {
+					t.Fatal(err)
+				}
+				if containsSub(raw, []byte("padding")) {
+					t.Fatal("plaintext body found in the survivor log")
+				}
+			} else if l.f != nil || len(l.mem) != n {
+				t.Fatalf("resident log: file %v, %d resident; want none, %d", l.f, len(l.mem), n)
+			}
+			i := 0
+			err = l.drain(func(pe *pendEmail) error {
+				if pe.e.Msg.Body != body(i) || pe.di != i || pe.verdict != spamfilter.VerdictReceiverTypo ||
+					pe.keys != (spamfilter.FreqKeys{Rcpt: spamfilter.FreqKey(i), Content: spamfilter.FreqKey(3 * i)}) {
+					t.Fatalf("entry %d: got body %q di %d verdict %v keys %+v", i, pe.e.Msg.Body, pe.di, pe.verdict, pe.keys)
+				}
+				i++
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if i != n {
+				t.Fatalf("drained %d entries, want %d", i, n)
+			}
+			if left := spills(dir); len(left) != 0 {
+				t.Fatalf("spill files left after drain: %v", left)
+			}
+		})
+	}
+
+	t.Run("torn", func(t *testing.T) {
+		dir := t.TempDir()
+		l, err := newSurvivorLog(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer l.close()
+		fill(t, l, 4, 4)
+		if err := os.Truncate(l.path, l.size-3); err != nil {
+			t.Fatal(err)
+		}
+		drained := 0
+		err = l.drain(func(*pendEmail) error { drained++; return nil })
+		if err == nil {
+			t.Fatal("draining a truncated log returned no error")
+		}
+		if drained != 3 {
+			t.Fatalf("drained %d entries before the torn frame, want 3", drained)
+		}
+		l.close()
+		if left := spills(dir); len(left) != 0 {
+			t.Fatalf("spill files left after close: %v", left)
+		}
+	})
 }
 
 func containsSub(b, sub []byte) bool {

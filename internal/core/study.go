@@ -36,10 +36,12 @@ type Config struct {
 	// day indices.
 	Outages [][2]int
 
-	// Streaming selects the chunked two-pass run (stream.go): generation
-	// proceeds chunk-at-a-time over the par seams with a bounded working
-	// set instead of materializing every day. Output is byte-identical
-	// to the materialized path at any worker count and chunk size.
+	// Streaming selects the chunked run (stream.go): generation proceeds
+	// chunk-at-a-time over the par seams with a bounded working set
+	// instead of materializing every day, and only the layer 1–4
+	// survivors are kept (spilled under SpillDir) for Layer 5. Output is
+	// byte-identical to the materialized path at any worker count and
+	// chunk size.
 	Streaming bool
 	// StreamChunkDays is how many collection days each generation chunk
 	// covers in streaming mode (default 8).
@@ -247,6 +249,21 @@ type genUnit struct {
 	di  int // index into Study.Domains
 }
 
+// units lists the generation units in unit order: every study domain
+// on each non-outage day, day-major.
+func (s *Study) units() []genUnit {
+	units := make([]genUnit, 0, s.Cfg.Days*len(s.Domains))
+	for day := 0; day < s.Cfg.Days; day++ {
+		if s.inOutage(day) {
+			continue // the infrastructure was down; nothing recorded
+		}
+		for di := range s.Domains {
+			units = append(units, genUnit{day: day, di: di})
+		}
+	}
+	return units
+}
+
 // schedEmail is a materialized typo-candidate email scheduled for a
 // landing day (reflection notifications and SMTP episodes trail the
 // mistake that caused them by days).
@@ -262,7 +279,7 @@ type schedEmail struct {
 type unitResult struct {
 	volume       float64
 	samples      []*spamfilter.Email
-	prepared     []spamfilter.Prepared // samples, prepared by a streaming pass
+	prepared     []spamfilter.Prepared // samples, prepared by the streaming run
 	sched        []schedEmail
 	persistence  []float64
 	episodeSizes []int
@@ -274,10 +291,7 @@ type unitResult struct {
 // SMTP episodes) at the domain's rates. Each unit owns a private spam
 // generator seeded from its stream, so the campaign draw is a pure
 // function of the unit.
-// With samples false the spam sample is counted but not built: it draws
-// only from the private generator, so every later draw on rng — and
-// with it the typo traffic — is unchanged.
-func (s *Study) generateUnit(u genUnit, rates typoRates, rng *rand.Rand, start time.Time, samples bool) unitResult {
+func (s *Study) generateUnit(u genUnit, rates typoRates, rng *rand.Rand, start time.Time) unitResult {
 	d := &s.Domains[u.di]
 	isTrap := d.Kind == KindSMTPTrap
 	when := start.Add(time.Duration(u.day)*24*time.Hour + 12*time.Hour)
@@ -290,7 +304,7 @@ func (s *Study) generateUnit(u genUnit, rates typoRates, rng *rand.Rand, start t
 	spam := spamgen.New(spamgen.DefaultParams(), rng.Int63())
 	volume := spam.DayVolume(u.day, s.attractiveness(*d), isTrap)
 	out.volume = float64(volume)
-	if nSample := sampleCount(rng, volume, s.Cfg.SpamSampleDivisor); nSample > 0 && samples {
+	if nSample := sampleCount(rng, volume, s.Cfg.SpamSampleDivisor); nSample > 0 {
 		out.samples = spam.Materialize(nSample, d.Name, isTrap)
 		for _, e := range out.samples {
 			e.Received = when
@@ -402,8 +416,8 @@ func (s *Study) newResult(start time.Time) *Result {
 // per-(day, domain) units on par's worker pool; the merge below folds
 // unit outputs back in unit order, so the run is byte-identical to a
 // sequential (par.SetWorkers(1)) run at any parallelism. With
-// Cfg.Streaming set, the equivalent chunked two-pass run (stream.go)
-// executes instead — same bytes out, bounded working set.
+// Cfg.Streaming set, the equivalent chunked run (stream.go) executes
+// instead — same bytes out, bounded working set.
 func (s *Study) Run() (*Result, error) {
 	rates := s.typoRatesByDomain()
 	if s.Cfg.Streaming {
@@ -418,13 +432,7 @@ func (s *Study) Run() (*Result, error) {
 	// Materialized spam samples, classified post hoc so Layer 5 frequency
 	// filtering sees the repeats; aggregate volumes recorded for later
 	// allocation once the calibration fractions are known.
-	type volRec struct {
-		domain *StudyDomain
-		when   time.Time
-		volume float64
-		isTrap bool
-	}
-	volumes := make([]volRec, 0, s.Cfg.Days*len(s.Domains))
+	volumes := make([]float64, 0, s.Cfg.Days*len(s.Domains))
 	spamSamples := make([]*spamfilter.Email, 0, s.Cfg.Days*len(s.Domains))
 	sampleTrap := make(map[*spamfilter.Email]bool)
 
@@ -437,34 +445,23 @@ func (s *Study) Run() (*Result, error) {
 	// analysis measured (~20% of survivors).
 	contaminant := make(map[*spamfilter.Email]bool)
 
-	// ---- Parallel generation: one unit per (non-outage day, domain),
-	// day-major so the merge below reproduces the sequential loop's
-	// append order exactly.
-	units := make([]genUnit, 0, s.Cfg.Days*len(s.Domains))
-	for day := 0; day < s.Cfg.Days; day++ {
-		if s.inOutage(day) {
-			continue // the infrastructure was down; nothing recorded
-		}
-		for di := range s.Domains {
-			units = append(units, genUnit{day: day, di: di})
-		}
-	}
+	// ---- Parallel generation, in unit order so the merge below
+	// reproduces the sequential loop's append order exactly.
+	units := s.units()
 	unitOut := par.Map(par.SubSeed(s.Cfg.Seed, streamGenUnits), units,
 		func(i int, u genUnit, rng *rand.Rand) unitResult {
-			return s.generateUnit(u, rates[u.di], rng, start, true)
+			return s.generateUnit(u, rates[u.di], rng, start)
 		})
 
 	// ---- Ordered merge, identical to the sequential interleaving.
 	for k, u := range units {
 		out := unitOut[k]
 		d := &s.Domains[u.di]
-		isTrap := d.Kind == KindSMTPTrap
-		when := start.Add(time.Duration(u.day)*24*time.Hour + 12*time.Hour)
 		for _, e := range out.samples {
-			sampleTrap[e] = isTrap
+			sampleTrap[e] = d.Kind == KindSMTPTrap
 		}
 		spamSamples = append(spamSamples, out.samples...)
-		volumes = append(volumes, volRec{domain: d, when: when, volume: out.volume, isTrap: isTrap})
+		volumes = append(volumes, out.volume)
 		for _, se := range out.sched {
 			pending[se.day] = append(pending[se.day], se.e)
 			typoMeta[se.e] = d
@@ -510,25 +507,7 @@ func (s *Study) Run() (*Result, error) {
 			c.escaped++
 		}
 	}
-	// Allocate the aggregates. The escaped sliver lands among the "true
-	// typo" survivors — the contamination the paper's manual analysis
-	// measured at ~20% of survivors.
-	for _, v := range volumes {
-		fSpam, fFilt, fEsc := calibFractions(cal[v.isTrap])
-		stats := res.PerDomain[v.domain.Name]
-		stats.SpamYearly += v.volume * fSpam
-		stats.FilteredYearly += v.volume * fFilt
-		stats.SpamEscapedYearly += v.volume * fEsc
-		if v.isTrap {
-			res.SMTPSpamDaily.Add(v.when, v.volume*fSpam)
-			res.SMTPFilteredDaily.Add(v.when, v.volume*fFilt)
-			res.SMTPTrueDaily.Add(v.when, v.volume*fEsc)
-		} else {
-			res.ReceiverSpamDaily.Add(v.when, v.volume*fSpam)
-			res.ReceiverFilteredDaily.Add(v.when, v.volume*fFilt)
-			res.ReceiverTrueDaily.Add(v.when, v.volume*fEsc)
-		}
-	}
+	s.allocateVolumes(res, cal, volumes)
 
 	// Full funnel (including Layer 5 frequencies) over materialized
 	// typo-candidate traffic.
@@ -560,6 +539,36 @@ func (s *Study) Run() (*Result, error) {
 	res.EmailsProcessed = len(spamSamples) + len(allTypoEmails)
 	s.annualize(res)
 	return res, nil
+}
+
+// allocateVolumes splits each unit's aggregate spam volume, given in
+// unit order (volumes[k] is units()[k]'s), by its domain kind's
+// calibration fractions. Both run modes call it once the fractions are
+// known, so every accumulator sees the same sequence of float
+// additions. The escaped sliver lands among the "true typo" survivors
+// — the contamination the paper's manual analysis measured at ~20% of
+// survivors.
+func (s *Study) allocateVolumes(res *Result, cal map[bool]*spamCalib, volumes []float64) {
+	for k, u := range s.units() {
+		volume := volumes[k]
+		d := &s.Domains[u.di]
+		isTrap := d.Kind == KindSMTPTrap
+		when := simclock.CollectionStart.Add(time.Duration(u.day)*24*time.Hour + 12*time.Hour)
+		fSpam, fFilt, fEsc := calibFractions(cal[isTrap])
+		stats := res.PerDomain[d.Name]
+		stats.SpamYearly += volume * fSpam
+		stats.FilteredYearly += volume * fFilt
+		stats.SpamEscapedYearly += volume * fEsc
+		if isTrap {
+			res.SMTPSpamDaily.Add(when, volume*fSpam)
+			res.SMTPFilteredDaily.Add(when, volume*fFilt)
+			res.SMTPTrueDaily.Add(when, volume*fEsc)
+		} else {
+			res.ReceiverSpamDaily.Add(when, volume*fSpam)
+			res.ReceiverFilteredDaily.Add(when, volume*fFilt)
+			res.ReceiverTrueDaily.Add(when, volume*fEsc)
+		}
+	}
 }
 
 // sampleCount converts an aggregate volume to a sampled count of

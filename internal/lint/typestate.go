@@ -37,10 +37,10 @@ type ProtoEdge struct {
 // vaultProtocol is the storage lifecycle (paper §4.1/§4.2.2: the key
 // must be unmountable, so nothing may touch a vault after Close). Both
 // vault implementations (Vault, LogVault, anything behind Store) and
-// core's spill queue follow it: mutating and reading operations are
-// "use", segment rotation/compaction is "rotate" (only legal while
-// open), and Close is idempotent. Pure observers (Len, Meta, Stats)
-// are protocol-neutral and stay unmapped.
+// core's spill queue and survivor log follow it: mutating and reading
+// operations are "use", segment rotation/compaction is "rotate" (only
+// legal while open), and Close is idempotent. Pure observers (Len,
+// Meta, Stats) are protocol-neutral and stay unmapped.
 var vaultProtocol = &Protocol{
 	Name:   "vault",
 	States: []string{"open", "closed"},

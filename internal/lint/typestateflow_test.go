@@ -25,6 +25,20 @@ func (v *Vault) Close() error                                 { return nil }
 `,
 }
 
+// survivorLogStub is core's survivor log: add, seal and drain are uses,
+// close is idempotent.
+const survivorLogStub = `package core
+
+type survivorLog struct{ n int }
+
+func newSurvivorLog(dir string) (*survivorLog, error) { return &survivorLog{}, nil }
+
+func (l *survivorLog) add(x int)                      { l.n += x }
+func (l *survivorLog) seal() error                    { return nil }
+func (l *survivorLog) drain(fn func(int) error) error { return fn(l.n) }
+func (l *survivorLog) close()                         { l.n = 0 }
+`
+
 var parTypestateStub = map[string]string{
 	"internal/par/par.go": `package par
 
@@ -262,6 +276,50 @@ func Deferred(key []byte) error {
 }
 `,
 			}),
+			count: 0,
+		},
+		{
+			name:     "vaultstate flags a survivor-log seal after close",
+			analyzer: "vaultstate",
+			files: map[string]string{
+				"internal/core/core.go": survivorLogStub + `
+func Replay(dir string) error {
+	l, err := newSurvivorLog(dir)
+	if err != nil {
+		return err
+	}
+	l.add(1)
+	l.close()
+	return l.seal()
+}
+`,
+			},
+			want:  []string{"internal/core/core.go:19: [vaultstate]", "use on core.survivorLog l in state closed"},
+			count: 1,
+		},
+		{
+			name:     "vaultstate accepts a drained survivor log closed again by defer",
+			analyzer: "vaultstate",
+			files: map[string]string{
+				"internal/core/core.go": survivorLogStub + `
+func Replay(dir string) error {
+	l, err := newSurvivorLog(dir)
+	if err != nil {
+		return err
+	}
+	defer l.close()
+	l.add(1)
+	if err := l.seal(); err != nil {
+		return err
+	}
+	if err := l.drain(func(int) error { return nil }); err != nil {
+		return err
+	}
+	l.close()
+	return nil
+}
+`,
+			},
 			count: 0,
 		},
 		{

@@ -9,8 +9,8 @@ import (
 // Put/Get/Export or spill-queue operation may reach a store after
 // Close on any path, and segment rotation/compaction is only legal
 // from the open state. Tracked objects are vault.Vault, vault.LogVault,
-// values behind the vault.Store interface, and core's pendQueue; the
-// protocol table is vaultProtocol in typestate.go.
+// values behind the vault.Store interface, and core's pendQueue and
+// survivorLog; the protocol table is vaultProtocol in typestate.go.
 var VaultStateAnalyzer = &Analyzer{
 	Name: "vaultstate",
 	Doc:  "vault/spill-queue used or rotated after Close (vault lifecycle protocol)",
@@ -30,12 +30,15 @@ var vaultEventNames = map[string]string{
 	"Compact":   "rotate",
 	"rotate":    "rotate",
 	"Close":     "close",
-	// core's pendQueue (unexported lifecycle, same shape)
+	// core's pendQueue and survivorLog (unexported lifecycles, same
+	// shape)
 	"add":      "use",
 	"take":     "use",
 	"drop":     "use",
 	"spill":    "use",
 	"spillDay": "use",
+	"seal":     "use",
+	"drain":    "use",
 	"close":    "close",
 }
 
@@ -55,7 +58,7 @@ func vaultTrackedType(pass *Pass, pkgPath, typeName string) bool {
 	case "internal/vault":
 		return typeName == "Vault" || typeName == "LogVault" || typeName == "Store"
 	case "internal/core":
-		return typeName == "pendQueue"
+		return typeName == "pendQueue" || typeName == "survivorLog"
 	}
 	return false
 }

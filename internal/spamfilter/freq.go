@@ -22,10 +22,11 @@ type FreqKeys struct{ Rcpt, Sender, Content FreqKey }
 // FreqTables holds Layer 5's corpus-wide frequency state: how often each
 // recipient address, sender address and normalized body appeared among
 // the layer 1–4 survivors. Classify builds one internally; streaming
-// callers (core's chunked two-pass run) build one during their first
-// pass over the corpus and replay it against a fresh classifier in the
-// second, which is exactly the decomposition Classify performs in one
-// sweep — same keys, same thresholds, same verdicts.
+// callers (core's chunked run) build one while they decide the corpus
+// through layers 1–4, keep the survivors' keys, and replay them through
+// ApplyLayer5 once the tables are complete, which is exactly the
+// decomposition Classify performs in one sweep — same keys, same
+// thresholds, same verdicts.
 type FreqTables struct {
 	rcpt    map[FreqKey]int
 	sender  map[FreqKey]int
