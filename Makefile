@@ -68,6 +68,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzEffectLattice -fuzztime=$(FUZZTIME) ./internal/lint/cfg/
 	$(GO) test -fuzz=FuzzTypestateLattice -fuzztime=$(FUZZTIME) ./internal/lint/cfg/
 	$(GO) test -fuzz=FuzzSMTPDSession -fuzztime=$(FUZZTIME) ./internal/smtpd/
+	$(GO) test -fuzz=FuzzGenerate -fuzztime=$(FUZZTIME) ./internal/typogen/
 
 # chaos runs the end-to-end fault-injection soak (chaos_test.go) under
 # the race detector once per seed. Every failure is replayable: re-run

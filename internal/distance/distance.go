@@ -163,33 +163,6 @@ func firstLastDiff(a, b []rune) (int, int) {
 	return first, last
 }
 
-// FatFinger returns the fat-finger distance of Moore and Edelman: the
-// minimum number of insertions, deletions, substitutions or transpositions
-// *using letters adjacent on a QWERTY keyboard* to transform a into b.
-// Edits whose operand is not QWERTY-adjacent to the neighboring context
-// are charged an effectively infinite cost (represented by returning
-// ok=false when no all-adjacent edit path of length <= 2 exists).
-//
-// In practice the paper uses FF at distance one ("FF-1 implies DL-1"), so
-// this implementation answers the decision problems the study needs:
-// IsFatFinger1 for the common case and a bounded search for distance two.
-func FatFinger(a, b string) (int, bool) {
-	if a == b {
-		return 0, true
-	}
-	if IsFatFinger1(a, b) {
-		return 1, true
-	}
-	// Bounded distance-2 search: apply every FF-1 edit to a and test FF-1
-	// against b. Sufficient for the registration strategies in the paper.
-	for _, mid := range fatFinger1Set(a) {
-		if IsFatFinger1(mid, b) {
-			return 2, true
-		}
-	}
-	return 0, false
-}
-
 // IsFatFinger1 reports whether typo is exactly one fat-finger edit away
 // from target: a substitution by an adjacent key, an insertion of a key
 // adjacent to one of its new neighbors, a deletion, or a transposition of
@@ -229,54 +202,48 @@ func IsFatFinger1(target, typo string) bool {
 	}
 }
 
-// fatFinger1Set enumerates all strings at FF-1 from s over the domain
-// charset.
-func fatFinger1Set(s string) []string {
-	rs := []rune(s)
-	var out []string
-	// deletions
-	for i := range rs {
-		out = append(out, string(rs[:i])+string(rs[i+1:]))
+// EditFacts returns what IsFatFinger1(target, typo) and
+// VisualEditCost(target, typo) return for the typo that one DL-1 edit
+// makes of target, working them out from the edit instead of
+// re-deriving it from the two strings: op at index pos of target, with
+// r the rune a substitution puts at pos or an addition inserts before
+// target[pos] (pos == len(target) appends). r is ignored for deletions
+// and transpositions. The edit must change target: a substitution's r
+// differs from target[pos], a transposition swaps two different runes.
+//
+// Any edit yielding the same typo yields the same facts: a deletion or
+// addition inside a run of equal runes is the same string wherever in
+// the run it lands, and the checks below read only whether the run has
+// more than one rune, which every position in it sees.
+func EditFacts(target []rune, op EditOp, pos int, r rune) (fatFinger bool, visual float64) {
+	switch op {
+	case OpDeletion:
+		del := target[pos]
+		if (pos > 0 && target[pos-1] == del) || (pos+1 < len(target) && target[pos+1] == del) {
+			return true, visDeletionRepeat
+		}
+		return true, visDeletionOther
+	case OpTransposition:
+		return true, visTransposition
+	case OpSubstitution:
+		return Adjacent(target[pos], r), charConfusion(target[pos], r)
+	case OpAddition:
+		// The inserted key is a fat-finger if it repeats or is
+		// QWERTY-adjacent to an intended key next to it.
+		before := pos > 0 && target[pos-1] == r
+		after := pos < len(target) && target[pos] == r
+		fatFinger = before || after ||
+			(pos > 0 && Adjacent(target[pos-1], r)) ||
+			(pos < len(target) && Adjacent(target[pos], r))
+		switch {
+		case r == '-':
+			return fatFinger, visAdditionHyphen
+		case before || after:
+			return fatFinger, visAdditionRepeat
+		}
+		return fatFinger, visAdditionOther
 	}
-	// transpositions
-	for i := 0; i+1 < len(rs); i++ {
-		if rs[i] == rs[i+1] {
-			continue
-		}
-		t := append([]rune(nil), rs...)
-		t[i], t[i+1] = t[i+1], t[i]
-		out = append(out, string(t))
-	}
-	// adjacent substitutions
-	for i, ch := range rs {
-		for _, n := range Neighbors(ch) {
-			t := append([]rune(nil), rs...)
-			t[i] = n
-			out = append(out, string(t))
-		}
-	}
-	// adjacent (and double-press) insertions
-	for i := 0; i <= len(rs); i++ {
-		seen := map[rune]bool{}
-		if i > 0 {
-			seen[rs[i-1]] = true
-			for _, n := range Neighbors(rs[i-1]) {
-				seen[n] = true
-			}
-		}
-		if i < len(rs) {
-			seen[rs[i]] = true
-			for _, n := range Neighbors(rs[i]) {
-				seen[n] = true
-			}
-		}
-		for _, r := range "abcdefghijklmnopqrstuvwxyz0123456789-" {
-			if seen[r] {
-				out = append(out, string(rs[:i])+string(r)+string(rs[i:]))
-			}
-		}
-	}
-	return out
+	return false, 0
 }
 
 func min3(a, b, c int) int {

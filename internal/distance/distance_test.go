@@ -157,6 +157,45 @@ func TestNeighbors(t *testing.T) {
 	}
 }
 
+// TestKeyTableMatchesGeometry checks the key table behind Adjacent and
+// Neighbors against their geometric definition — distinct keys less than
+// 1.5 key widths apart by KeyboardDistance — for every rune pair below
+// 256 and a few beyond.
+func TestKeyTableMatchesGeometry(t *testing.T) {
+	runes := []rune{-1, 0x100, 'ß', 'ü', 'İ', 0x212A, 0x10FFFF}
+	for r := rune(0); r < 256; r++ {
+		runes = append(runes, r)
+	}
+	geomAdjacent := func(a, b rune) bool {
+		d, ok := KeyboardDistance(a, b)
+		return lower(a) != lower(b) && ok && d < 1.5
+	}
+	for _, a := range runes {
+		var want []rune
+		if _, ok := keyPositions[lower(a)]; ok {
+			want = []rune{}
+			for _, row := range qwertyRows {
+				for _, k := range row.keys {
+					if geomAdjacent(a, k) {
+						want = append(want, k)
+					}
+				}
+			}
+		}
+		if got := Neighbors(a); (got == nil) != (want == nil) || string(got) != string(want) {
+			t.Errorf("Neighbors(%q) = %q, want %q", a, string(got), string(want))
+		}
+		for _, b := range runes {
+			if got, want := Adjacent(a, b), geomAdjacent(a, b); got != want {
+				t.Errorf("Adjacent(%q, %q) = %v, want %v", a, b, got, want)
+			}
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { Neighbors('g') }); n != 0 {
+		t.Errorf("Neighbors allocates %v times per call", n)
+	}
+}
+
 func TestKeyboardDistance(t *testing.T) {
 	if d, ok := KeyboardDistance('a', 's'); !ok || d < 0.9 || d > 1.1 {
 		t.Errorf("KeyboardDistance(a,s) = %v,%v want ~1", d, ok)
@@ -190,39 +229,6 @@ func TestIsFatFinger1(t *testing.T) {
 	for _, tc := range tests {
 		if got := IsFatFinger1(tc.target, tc.typo); got != tc.want {
 			t.Errorf("IsFatFinger1(%q, %q) = %v, want %v", tc.target, tc.typo, got, tc.want)
-		}
-	}
-}
-
-func TestFatFinger(t *testing.T) {
-	if d, ok := FatFinger("gmail", "gmail"); !ok || d != 0 {
-		t.Errorf("FatFinger identity = %d,%v", d, ok)
-	}
-	if d, ok := FatFinger("gmail", "gmial"); !ok || d != 1 {
-		t.Errorf("FatFinger transposition = %d,%v", d, ok)
-	}
-	if d, ok := FatFinger("gmail", "gmia"); !ok || d != 2 {
-		t.Errorf("FatFinger two edits = %d,%v, want 2,true", d, ok)
-	}
-	if _, ok := FatFinger("gmail", "yahoo"); ok {
-		t.Error("FatFinger on unrelated strings should fail")
-	}
-}
-
-func TestFatFinger1ImpliesDL1(t *testing.T) {
-	// Paper: "A fat-finger distance of one (FF-1) implies a DL-1 distance."
-	targets := []string{"gmail", "outlook", "hotmail", "verizon", "comcast", "paypal"}
-	for _, target := range targets {
-		for _, typo := range fatFinger1Set(target) {
-			if typo == target {
-				continue
-			}
-			if dl := DamerauLevenshtein(target, typo); dl != 1 {
-				t.Fatalf("FF-1 string %q of %q has DL=%d", typo, target, dl)
-			}
-			if !IsFatFinger1(target, typo) {
-				t.Fatalf("fatFinger1Set produced %q of %q not recognized by IsFatFinger1", typo, target)
-			}
 		}
 	}
 }
@@ -317,17 +323,6 @@ func TestSLDAndTLD(t *testing.T) {
 		}
 		if got := TLD(tc.in); got != tc.tld {
 			t.Errorf("TLD(%q) = %q, want %q", tc.in, got, tc.tld)
-		}
-	}
-}
-
-func TestDomainCharset(t *testing.T) {
-	if !DomainCharset("gmail-0.com") {
-		t.Error("valid charset rejected")
-	}
-	for _, bad := range []string{"GMAIL.com", "gmail com", "gmail@com", "gmäil.com"} {
-		if DomainCharset(bad) {
-			t.Errorf("DomainCharset(%q) = true, want false", bad)
 		}
 	}
 }

@@ -5,7 +5,10 @@
 // easily the mistyped name is confused with the original at a glance.
 package distance
 
-import "strings"
+import (
+	"strings"
+	"sync"
+)
 
 // qwertyRows is the physical layout used for adjacency and fat-finger
 // computations. Row offsets approximate the stagger of a standard QWERTY
@@ -53,34 +56,83 @@ func KeyboardDistance(a, b rune) (float64, bool) {
 	return sqrt(dx*dx + dy*dy), true
 }
 
-// Adjacent reports whether two keys are adjacent on a QWERTY keyboard —
-// the "fat finger" relation of Moore and Edelman. A key is not adjacent to
-// itself.
-func Adjacent(a, b rune) bool {
-	a, b = lower(a), lower(b)
-	if a == b {
-		return false
-	}
-	d, ok := KeyboardDistance(a, b)
-	return ok && d < 1.5
+// numKeys is the size of the main key block in qwertyRows.
+const numKeys = 37
+
+// keyTable is the fat-finger relation over the main key block, worked
+// out from KeyboardDistance on first use (not at package init, which
+// every process pays) so Adjacent and Neighbors are lookups.
+type keyTable struct {
+	index     [128]int8       // lower-case key rune -> key number, -1 off the block
+	adj       [numKeys]uint64 // bit j of adj[i]: keys i and j are adjacent
+	neighbors [numKeys][]rune // adjacent keys in qwertyRows order
 }
 
-// Neighbors returns the set of keys adjacent to ch on a QWERTY keyboard,
-// in stable order.
-func Neighbors(ch rune) []rune {
-	ch = lower(ch)
-	if _, ok := keyPositions[ch]; !ok {
-		return nil
+var keys = sync.OnceValue(buildKeyTable)
+
+func buildKeyTable() *keyTable {
+	t := &keyTable{}
+	for i := range t.index {
+		t.index[i] = -1
 	}
-	var out []rune
+	runes := make([]rune, 0, numKeys)
 	for _, r := range qwertyRows {
-		for _, cand := range r.keys {
-			if Adjacent(ch, cand) {
-				out = append(out, cand)
+		for _, ch := range r.keys {
+			t.index[ch] = int8(len(runes))
+			runes = append(runes, ch)
+		}
+	}
+	// KeyboardDistance is symmetric, so each pair is measured once.
+	for i := range runes {
+		for j := i + 1; j < len(runes); j++ {
+			if d, _ := KeyboardDistance(runes[i], runes[j]); d < 1.5 {
+				t.adj[i] |= 1 << j
+				t.adj[j] |= 1 << i
 			}
 		}
 	}
-	return out
+	all := make([]rune, 0, 8*numKeys)
+	for i := range runes {
+		start := len(all)
+		for j, ch := range runes {
+			if t.adj[i]>>j&1 != 0 {
+				all = append(all, ch)
+			}
+		}
+		t.neighbors[i] = all[start:len(all):len(all)]
+	}
+	return t
+}
+
+// key returns r's key number, or -1 when r is off the main key block.
+func (t *keyTable) key(r rune) int {
+	r = lower(r)
+	if r < 0 || r >= 128 {
+		return -1
+	}
+	return int(t.index[r])
+}
+
+// Adjacent reports whether two keys are adjacent on a QWERTY keyboard —
+// the "fat finger" relation of Moore and Edelman: distinct keys less
+// than 1.5 key widths apart by KeyboardDistance. A key is not adjacent
+// to itself.
+func Adjacent(a, b rune) bool {
+	t := keys()
+	i, j := t.key(a), t.key(b)
+	return i >= 0 && j >= 0 && t.adj[i]>>j&1 != 0
+}
+
+// Neighbors returns the set of keys adjacent to ch on a QWERTY keyboard,
+// in stable order, or nil when ch is off the key block. The slice is
+// shared: callers must not modify it.
+func Neighbors(ch rune) []rune {
+	t := keys()
+	i := t.key(ch)
+	if i < 0 {
+		return nil
+	}
+	return t.neighbors[i]
 }
 
 func lower(r rune) rune {
@@ -101,22 +153,6 @@ func sqrt(x float64) float64 {
 		z = (z + x/z) / 2
 	}
 	return z
-}
-
-// DomainCharset reports whether s contains only characters legal in a DNS
-// label context handled by this package: lowercase letters, digits, '-'
-// and '.' separators.
-func DomainCharset(s string) bool {
-	for _, r := range s {
-		switch {
-		case r >= 'a' && r <= 'z':
-		case r >= '0' && r <= '9':
-		case r == '-' || r == '.':
-		default:
-			return false
-		}
-	}
-	return true
 }
 
 // SLD returns the second-level label of a domain name ("gmail" for

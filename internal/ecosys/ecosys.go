@@ -169,14 +169,6 @@ type Config struct {
 	// BulkSquatters and SharedMailHosts control the concentration.
 	BulkSquatters   int
 	SharedMailHosts int
-
-	// ChunkTargets, when positive, generates the per-target work in
-	// chunks of that many targets, merging each chunk before generating
-	// the next — the working set holds one chunk's output instead of the
-	// whole universe's. Output is byte-identical at any chunk size and
-	// worker count (par.MapAt keeps each target on the same PRNG
-	// sub-stream the unchunked par.Map assigns it). Zero means one chunk.
-	ChunkTargets int
 }
 
 // DefaultConfig returns a laptop-scale ecosystem that preserves the
@@ -247,16 +239,16 @@ func Generate(cfg Config) *Ecosystem {
 	// Weighted ownership: bulk squatters grab most attractive typos, with
 	// a Zipf-ish skew among them; the long tail goes to small actors.
 	// Workers only read the registrant roster; the ownership append
-	// happens in the deterministic per-chunk merge — chunks stream in
-	// target order, so the insertion order (including the
-	// overwrite-and-double-append behavior when two targets generate the
-	// same typo domain) is identical to one big parallel map.
+	// happens in the merge, in target order, so the insertion order
+	// (including the overwrite-and-double-append behavior when two
+	// targets generate the same typo domain) is the sequential one.
 	targets := uni.Top(cfg.Targets)
-	eco.generateChunked(par.SubSeed(cfg.Seed, streamTargets), targets,
+	for _, infos := range par.Map(par.SubSeed(cfg.Seed, streamTargets), targets,
 		func(i int, target alexa.Domain, rng *rand.Rand) []*DomainInfo {
 			var out []*DomainInfo
+			pop := 1.0 / math.Pow(float64(target.Rank), 0.45)
 			for _, typo := range typogen.GenerateAll(target.Name) {
-				p := registrationProbability(target, typo)
+				p := registrationProbability(pop, typo)
 				if rng.Float64() >= p {
 					continue
 				}
@@ -264,12 +256,14 @@ func Generate(cfg Config) *Ecosystem {
 				out = append(out, eco.configureDomain(rng, target, typo, owner))
 			}
 			return out
-		})
+		}) {
+		eco.merge(infos)
+	}
 
 	// Deliberate service-prefix registrations (smtpgmail.com and friends,
 	// Section 5.2) by squatters, privately registered.
 	emailTargets := uni.EmailCategory()
-	eco.generateChunked(par.SubSeed(cfg.Seed, streamPrefixes), emailTargets,
+	for _, infos := range par.Map(par.SubSeed(cfg.Seed, streamPrefixes), emailTargets,
 		func(i int, target alexa.Domain, rng *rand.Rand) []*DomainInfo {
 			var out []*DomainInfo
 			for _, typo := range typogen.ServicePrefixTypos(target.Name, []string{"smtp", "mail", "webmail"}) {
@@ -280,34 +274,13 @@ func Generate(cfg Config) *Ecosystem {
 				out = append(out, eco.configureDomain(rng, target, typo, owner))
 			}
 			return out
-		})
+		}) {
+		eco.merge(infos)
+	}
 
 	eco.Registrants = registrants
 	eco.assignNameServers(par.Rand(cfg.Seed, streamNameServers))
 	return eco
-}
-
-// generateChunked runs one per-target generation phase in ChunkTargets-
-// sized slices of the target list, merging each chunk's output before
-// the next chunk generates. par.MapAt hands target i the PRNG sub-stream
-// Rand(seed, i) regardless of which chunk it lands in, so the stream of
-// merged domains is byte-for-byte the one par.Map over the full list
-// produces — with only one chunk's []*DomainInfo resident at a time.
-func (e *Ecosystem) generateChunked(seed int64, targets []alexa.Domain,
-	fn func(i int, target alexa.Domain, rng *rand.Rand) []*DomainInfo) {
-	chunk := e.cfg.ChunkTargets
-	if chunk <= 0 {
-		chunk = len(targets)
-	}
-	for base := 0; base < len(targets); base += chunk {
-		end := base + chunk
-		if end > len(targets) {
-			end = len(targets)
-		}
-		for _, infos := range par.MapAt(seed, base, targets[base:end], fn) {
-			e.merge(infos)
-		}
-	}
 }
 
 // merge folds one worker's configured domains into the snapshot.
@@ -320,9 +293,9 @@ func (e *Ecosystem) merge(infos []*DomainInfo) {
 
 // registrationProbability models "the most interesting typo domains are
 // already registered": popular targets and inconspicuous typos attract
-// registration.
-func registrationProbability(target alexa.Domain, typo typogen.Typo) float64 {
-	pop := 1.0 / math.Pow(float64(target.Rank), 0.45)
+// registration. pop is the target's popularity, Rank^-0.45, worked out
+// once per target by the caller.
+func registrationProbability(pop float64, typo typogen.Typo) float64 {
 	vis := math.Exp(-1.8 * typo.Visual)
 	mistake := alexa.MistakeWeight(typo.Op)*0.6 + 0.4 // attractive classes slightly preferred
 	p := 0.75 * pop * vis * mistake

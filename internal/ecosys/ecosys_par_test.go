@@ -56,30 +56,6 @@ func TestGenerateSeedEquivalence(t *testing.T) {
 	}
 }
 
-// TestGenerateChunkEquivalence asserts the streaming half of the
-// contract: chunked generation is byte-identical to the one-shot
-// parallel map at every chunk size and worker count.
-func TestGenerateChunkEquivalence(t *testing.T) {
-	defer par.SetWorkers(0)
-	cfg := smallConfig()
-	cfg.Seed = 20161105
-
-	par.SetWorkers(1)
-	ref := snapshotString(Generate(cfg))
-
-	for _, chunk := range []int{1, 3, 7, 64, 10000} {
-		for _, w := range []int{1, 4} {
-			par.SetWorkers(w)
-			ccfg := cfg
-			ccfg.ChunkTargets = chunk
-			if got := snapshotString(Generate(ccfg)); got != ref {
-				t.Fatalf("chunk=%d workers=%d snapshot differs from one-shot run\n(first divergence near %q)",
-					chunk, w, firstDiff(ref, got))
-			}
-		}
-	}
-}
-
 func firstDiff(a, b string) string {
 	n := len(a)
 	if len(b) < n {

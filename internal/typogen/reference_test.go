@@ -116,3 +116,36 @@ func TestGenerateMatchesReference(t *testing.T) {
 		}
 	}
 }
+
+// FuzzGenerate diffs Generate against generateReference on arbitrary
+// targets; the low six bits of opts pick the edit classes and filters.
+func FuzzGenerate(f *testing.F) {
+	for _, target := range []string{
+		"gmail.com", "yahoo.co.uk", "a-b.net", "outlook", "ümlaut.com",
+		"10minutemail.com", "bookkeeper.net", "GMail.com", "x.\xff", "-a-.",
+	} {
+		f.Add(target, uint8(0x0f))
+	}
+	f.Fuzz(func(t *testing.T, target string, bits uint8) {
+		if len(target) > 80 {
+			return // the reference is quadratic per target; keep runs fast
+		}
+		opts := Options{
+			Additions:      bits&1 != 0,
+			Deletions:      bits&2 != 0,
+			Substitutions:  bits&4 != 0,
+			Transpositions: bits&8 != 0,
+			FatFingerOnly:  bits&16 != 0,
+		}
+		if bits&32 != 0 {
+			opts.MaxVisual = 0.4
+		}
+		got, want := Generate(target, opts), generateReference(target, opts)
+		if len(got) == 0 && len(want) == 0 {
+			return
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("Generate(%q, %+v) diverges from reference: %d vs %d typos", target, opts, len(got), len(want))
+		}
+	})
+}

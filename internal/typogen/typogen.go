@@ -17,8 +17,9 @@
 package typogen
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"repro/internal/distance"
@@ -71,40 +72,40 @@ func Generate(target string, opts Options) []Typo {
 		return nil
 	}
 	rs := []rune(sld)
-	tldRunes := []rune(tld)
 
 	// Upper bound on raw candidates: deletions + transpositions +
 	// substitutions + additions.
 	n := len(rs)
 	capEst := n + n + n*len(alphabet) + (n+1)*len(alphabet)
+	// A candidate keeps the edit that made it (op at pos, rune r), from
+	// which distance.EditFacts works out its fat-finger flag and visual
+	// cost.
 	type cand struct {
-		domain string // label + "." + tld; the label is domain[:labelLen]
-		label  string
+		domain string
+		pos    int32
+		r      rune
 		op     distance.EditOp
-		pos    int
 	}
 	cands := make([]cand, 0, capEst)
 
-	// One domain buffer reused across candidates: the only per-candidate
-	// allocation is the domain string itself; the label is a free
-	// substring of it.
-	domBuf := make([]rune, 0, n+2+len(tldRunes))
-	add := func(labelRunes []rune, op distance.EditOp, pos int) {
-		if !validLabelRunes(labelRunes) || runesEqual(labelRunes, rs) {
+	// Every valid label is ASCII, so the domain is built byte by byte in
+	// one reused buffer: the only per-candidate allocation is the domain
+	// string itself. No edit below reproduces the target: substitutions
+	// and transpositions skip equal runes, and the others change length.
+	domBuf := make([]byte, 0, n+2+len(tld))
+	add := func(label []rune, op distance.EditOp, pos int, r rune) {
+		if !validLabelRunes(label) {
 			return
 		}
-		var domain, label string
-		if tld == "" {
-			domain = string(labelRunes)
-			label = domain
-		} else {
-			domBuf = append(domBuf[:0], labelRunes...)
-			domBuf = append(domBuf, '.')
-			domBuf = append(domBuf, tldRunes...)
-			domain = string(domBuf)
-			label = domain[:len(domain)-len(tld)-1]
+		domBuf = domBuf[:0]
+		for _, c := range label {
+			domBuf = append(domBuf, byte(c))
 		}
-		cands = append(cands, cand{domain: domain, label: label, op: op, pos: pos})
+		if tld != "" {
+			domBuf = append(domBuf, '.')
+			domBuf = append(domBuf, tld...)
+		}
+		cands = append(cands, cand{domain: string(domBuf), pos: int32(pos), r: r, op: op})
 	}
 
 	if opts.Deletions {
@@ -112,7 +113,7 @@ func Generate(target string, opts Options) []Typo {
 		for i := range rs {
 			copy(buf, rs[:i])
 			copy(buf[i:], rs[i+1:])
-			add(buf, distance.OpDeletion, i)
+			add(buf, distance.OpDeletion, i, 0)
 		}
 	}
 	if opts.Transpositions {
@@ -123,7 +124,7 @@ func Generate(target string, opts Options) []Typo {
 			}
 			copy(buf, rs)
 			buf[i], buf[i+1] = buf[i+1], buf[i]
-			add(buf, distance.OpTransposition, i)
+			add(buf, distance.OpTransposition, i, 0)
 		}
 	}
 	if opts.Substitutions {
@@ -135,7 +136,7 @@ func Generate(target string, opts Options) []Typo {
 					continue
 				}
 				buf[i] = c
-				add(buf, distance.OpSubstitution, i)
+				add(buf, distance.OpSubstitution, i, c)
 			}
 			buf[i] = rs[i]
 		}
@@ -147,36 +148,46 @@ func Generate(target string, opts Options) []Typo {
 			copy(buf[i+1:], rs[i:])
 			for _, c := range alphabet {
 				buf[i] = c
-				add(buf, distance.OpAddition, i)
+				add(buf, distance.OpAddition, i, c)
 			}
 		}
 	}
 
-	// Sort-based dedupe replacing the old map: a stable sort by domain
-	// keeps duplicates in emission order, so taking the first of each
-	// group preserves the map's first-emission-wins Op/Position choice.
-	// The fat-finger and visual filters depend only on (sld, label),
-	// which duplicates share, so filtering after dedupe is equivalent to
-	// the old filter-then-insert order — and does strictly less work.
-	sort.SliceStable(cands, func(i, j int) bool { return cands[i].domain < cands[j].domain })
+	// Sort-based dedupe replacing the old map: sorting the emission
+	// indices by (domain, index) keeps duplicates in emission order, so
+	// taking the first of each group preserves the map's
+	// first-emission-wins Op/Position choice. Duplicates share their
+	// label, hence their fat-finger and visual facts, so filtering after
+	// dedupe is equivalent to the old filter-then-insert order and does
+	// strictly less work.
+	order := make([]int32, len(cands))
+	for i := range order {
+		order[i] = int32(i)
+	}
+	slices.SortFunc(order, func(a, b int32) int {
+		if c := strings.Compare(cands[a].domain, cands[b].domain); c != 0 {
+			return c
+		}
+		return cmp.Compare(a, b)
+	})
 	out := make([]Typo, 0, len(cands))
 	prev := ""
-	for _, c := range cands {
+	for _, i := range order {
+		c := &cands[i]
 		if c.domain == prev {
 			continue
 		}
 		prev = c.domain
-		ff := distance.IsFatFinger1(sld, c.label)
+		ff, vis := distance.EditFacts(rs, c.op, int(c.pos), c.r)
 		if opts.FatFingerOnly && !ff {
 			continue
 		}
-		vis, _ := distance.VisualEditCost(sld, c.label)
 		if opts.MaxVisual > 0 && vis > opts.MaxVisual {
 			continue
 		}
 		out = append(out, Typo{
 			Target: target, Domain: c.domain,
-			Op: c.op, Position: c.pos, FatFinger: ff, Visual: vis,
+			Op: c.op, Position: int(c.pos), FatFinger: ff, Visual: vis,
 		})
 	}
 	return out
@@ -240,18 +251,7 @@ func GtypoCount(target string) int { return len(GenerateAll(target)) }
 // validLabel enforces DNS label syntax: 1-63 chars from the label
 // alphabet, no leading or trailing hyphen.
 func validLabel(s string) bool {
-	if len(s) == 0 || len(s) > 63 {
-		return false
-	}
-	if s[0] == '-' || s[len(s)-1] == '-' {
-		return false
-	}
-	for _, r := range s {
-		if !strings.ContainsRune(alphabet, r) {
-			return false
-		}
-	}
-	return true
+	return validLabelRunes([]rune(s))
 }
 
 // validLabelRunes is validLabel on a rune slice, so candidate labels can
@@ -266,23 +266,16 @@ func validLabelRunes(rs []rune) bool {
 		return false
 	}
 	for _, r := range rs {
-		if !strings.ContainsRune(alphabet, r) {
+		if !inAlphabet(r) {
 			return false
 		}
 	}
 	return true
 }
 
-func runesEqual(a, b []rune) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
+// inAlphabet reports whether r is in alphabet.
+func inAlphabet(r rune) bool {
+	return r >= 'a' && r <= 'z' || r >= '0' && r <= '9' || r == '-'
 }
 
 // Registry answers "is this gtypo registered?" — the predicate that turns
