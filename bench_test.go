@@ -287,6 +287,30 @@ func BenchmarkEcosystemGenerateParallel(b *testing.B) {
 	}
 }
 
+// BenchmarkParFor measures the pool's per-item dispatch: 4,096 items of
+// a few µs of arithmetic each, so any per-item handoff cost shows
+// against the work itself.
+func BenchmarkParFor(b *testing.B) {
+	const n = 4096
+	out := make([]uint64, n)
+	for _, w := range []int{1, 2} {
+		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
+			par.SetWorkers(w)
+			defer par.SetWorkers(0)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				par.For(n, func(j int) {
+					x := uint64(j)
+					for k := 0; k < 2000; k++ {
+						x = x*6364136223846793005 + 1442695040888963407
+					}
+					out[j] = x
+				})
+			}
+		})
+	}
+}
+
 func BenchmarkSuiteAllParallel(b *testing.B) {
 	s := sharedSuite(b)
 	for _, w := range []int{1, 2, 4, 8} {

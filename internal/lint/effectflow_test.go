@@ -616,13 +616,13 @@ func TestEffectSummariesGolden(t *testing.T) {
 	if err := WriteEffects(&buf, EffectSummaries(prog, parPkgs)); err != nil {
 		t.Fatal(err)
 	}
-	const wantPar = `internal/par.For: Blocking{chan,lock}
-internal/par.For.func1: Blocking{chan}
-internal/par.Map: Blocking{chan,lock}
+	const wantPar = `internal/par.For: Blocking{lock}
+internal/par.For.func1: pure
+internal/par.Map: Blocking{lock}
 internal/par.Map.func1: pure
-internal/par.MapAt: Blocking{chan,lock}
+internal/par.MapAt: Blocking{lock}
 internal/par.MapAt.func1: pure
-internal/par.MapErr: Blocking{chan,lock}
+internal/par.MapErr: Blocking{lock}
 internal/par.MapErr.func1: pure
 internal/par.NumWorkers: pure
 internal/par.Rand: pure

@@ -11,10 +11,10 @@
 //
 // The pool is safe by construction for the repository's own analyzers:
 // workers are spawned by a bounded counter loop (unboundedspawn's
-// worker-pool exemption), each worker's only blocking operation is
-// ranging over the work channel (goleak's channel exit tie), and Map
-// does not return before a WaitGroup join — no goroutine outlives a
-// call.
+// worker-pool exemption), each claims indices from a shared atomic
+// counter and blocks on nothing, and Map does not return before the
+// WaitGroup join that ends every worker (goleak's exit tie) — no
+// goroutine outlives a call.
 package par
 
 import (
@@ -147,20 +147,16 @@ func For(n int, do func(i int)) {
 		}
 		return
 	}
-	idx := make(chan int)
+	var next atomic.Int64
 	var wg sync.WaitGroup
 	for k := 0; k < w; k++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := range idx {
+			for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
 				do(i)
 			}
 		}()
 	}
-	for i := 0; i < n; i++ {
-		idx <- i
-	}
-	close(idx)
 	wg.Wait()
 }
