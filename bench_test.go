@@ -516,7 +516,6 @@ func BenchmarkStudyThroughput(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		cfg := core.DefaultConfig()
 		cfg.Seed = 20160604 + int64(i)
-		cfg.Streaming = true
 		cfg.SpillDir = b.TempDir()
 		cfg.SpillBudgetBytes = 32 << 20
 		cfg.VaultDir = b.TempDir()

@@ -467,15 +467,15 @@ func waitNoLeakedGoroutines(t *testing.T, base int) {
 // that pending-day traffic hits encrypted disk segments on nearly every
 // chunk, and vault segments small enough that rotation fires on nearly
 // every Put. It then crash-replays the vault (Close + OpenLog from the
-// segment files), compacts, and runs the differential against the
-// in-memory oracle: same seed, materialized path, record-by-record
-// metadata and plaintext equality.
+// segment files), compacts, and runs the differential against an
+// in-memory reference: same seed, one chunk of the whole window with the
+// survivor log and vault resident, record-by-record metadata and
+// plaintext equality.
 func chaosStreamingSpill(t *testing.T, seed int64) {
 	vaultDir := t.TempDir()
 	cfg := core.DefaultConfig()
 	cfg.Seed = seed
 	cfg.Days = 40
-	cfg.Streaming = true
 	cfg.StreamChunkDays = 3
 	cfg.SpillDir = t.TempDir()
 	cfg.SpillBudgetBytes = 1 << 14
@@ -523,36 +523,36 @@ func chaosStreamingSpill(t *testing.T, seed int64) {
 			before.Len(), after.Len())
 	}
 
-	// Differential oracle: the materialized in-memory run must hold the
-	// same records — IDs, metadata, and decrypted content.
-	ocfg := cfg
-	ocfg.Streaming = false
-	ocfg.SpillDir, ocfg.VaultDir = "", ""
-	ostudy, err := core.NewStudy(ocfg)
+	// Differential reference: a one-chunk run with nothing on disk must
+	// hold the same records — IDs, metadata, and decrypted content.
+	rcfg := cfg
+	rcfg.StreamChunkDays = cfg.Days
+	rcfg.SpillDir, rcfg.VaultDir = "", ""
+	rstudy, err := core.NewStudy(rcfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ostudy.Run(); err != nil {
+	if _, err := rstudy.Run(); err != nil {
 		t.Fatal(err)
 	}
-	oracle := ostudy.Vault
-	if oracle.Len() != wantLen {
-		t.Fatalf("oracle stored %d records, streaming vault %d", oracle.Len(), wantLen)
+	ref := rstudy.Vault
+	if ref.Len() != wantLen {
+		t.Fatalf("reference stored %d records, streaming vault %d", ref.Len(), wantLen)
 	}
-	for _, orec := range oracle.Meta() {
-		otext, _, gerr := oracle.Get(orec.ID)
+	for _, rrec := range ref.Meta() {
+		rtext, _, gerr := ref.Get(rrec.ID)
 		if gerr != nil {
-			t.Fatalf("oracle Get(%d): %v", orec.ID, gerr)
+			t.Fatalf("reference Get(%d): %v", rrec.ID, gerr)
 		}
-		stext, srec, gerr := lv2.Get(orec.ID)
+		stext, srec, gerr := lv2.Get(rrec.ID)
 		if gerr != nil {
-			t.Fatalf("streaming vault Get(%d): %v", orec.ID, gerr)
+			t.Fatalf("streaming vault Get(%d): %v", rrec.ID, gerr)
 		}
-		if srec.Domain != orec.Domain || srec.Verdict != orec.Verdict || !srec.Received.Equal(orec.Received) {
-			t.Errorf("record %d metadata diverged: %+v vs oracle %+v", orec.ID, srec, orec)
+		if srec.Domain != rrec.Domain || srec.Verdict != rrec.Verdict || !srec.Received.Equal(rrec.Received) {
+			t.Errorf("record %d metadata diverged: %+v vs reference %+v", rrec.ID, srec, rrec)
 		}
-		if !bytes.Equal(stext, otext) {
-			t.Errorf("record %d plaintext diverged from oracle", orec.ID)
+		if !bytes.Equal(stext, rtext) {
+			t.Errorf("record %d plaintext diverged from the reference", rrec.ID)
 		}
 	}
 }

@@ -1,10 +1,12 @@
 package core
 
 import (
+	"errors"
 	"math/rand"
 	"sort"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/distance"
 	"repro/internal/dnsserve"
@@ -12,6 +14,7 @@ import (
 	"repro/internal/ecosys"
 	"repro/internal/sanitize"
 	"repro/internal/stats"
+	"repro/internal/vault"
 )
 
 func TestDomainReconstruction(t *testing.T) {
@@ -340,6 +343,64 @@ func TestSurrender(t *testing.T) {
 	}
 	if _, err := s.Surrender("never-registered.example", nil); err == nil {
 		t.Error("surrendering an unknown domain should fail")
+	}
+}
+
+// failingPutStore is a vault.Store whose failAt-th Put fails with err
+// (failAt 0 never fails); it records the domain of the failed Put.
+type failingPutStore struct {
+	vault.Store
+	failAt, puts int
+	err          error
+	failedDomain string
+}
+
+func (f *failingPutStore) Put(domain, verdict string, received time.Time, plaintext []byte) (uint64, error) {
+	f.puts++
+	if f.puts == f.failAt {
+		f.failedDomain = domain
+		return 0, f.err
+	}
+	return f.Store.Put(domain, verdict, received, plaintext)
+}
+
+// TestRunReturnsVaultPutError checks that a failed vault write stops the
+// run with an error naming the domain, instead of dropping the evidence
+// and returning a result; and that on success every vaulted record is
+// counted.
+func TestRunReturnsVaultPutError(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Days = 30
+	injected := errors.New("injected vault write failure")
+	for _, failAt := range []int{0, 1, 3} {
+		s, err := NewStudy(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		store := &failingPutStore{Store: s.Vault, failAt: failAt, err: injected}
+		s.Vault = store
+		res, err := s.Run()
+		if failAt == 0 {
+			if err != nil {
+				t.Fatal(err)
+			}
+			if store.puts < 3 {
+				t.Fatalf("run made %d vault writes; the failure cases need at least 3", store.puts)
+			}
+			if res.VaultRecords != store.Len() {
+				t.Errorf("VaultRecords = %d, store holds %d", res.VaultRecords, store.Len())
+			}
+			continue
+		}
+		if !errors.Is(err, injected) {
+			t.Fatalf("Put %d failed: Run returned %v, want the injected error", failAt, err)
+		}
+		if !strings.Contains(err.Error(), store.failedDomain) {
+			t.Errorf("Put %d failed: error %q does not name the domain %s", failAt, err, store.failedDomain)
+		}
+		if res != nil {
+			t.Errorf("Put %d failed: Run returned a result alongside its error", failAt)
+		}
 	}
 }
 

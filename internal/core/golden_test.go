@@ -9,21 +9,22 @@ import (
 
 // goldenFullRun is the sha256 of the default-seed, full-window run
 // (resultString plus every vault record's ID, domain, verdict, received
-// instant and plaintext). Both run modes must reproduce it: a change to
-// generation that alters any spam sample, typo email or vault record
-// moves this hash even when it moves both modes alike, which the
-// cross-mode equivalence tests cannot see.
+// instant and plaintext). Run and the test oracle must both reproduce
+// it: a change to generation that alters any spam sample, typo email or
+// vault record moves this hash even when it moves both alike, which the
+// equivalence tests against the oracle cannot see.
 const goldenFullRun = "f5fc213576506279fef7b3a1ccdb4938822994716f3a2a0ea47fddb87579e373"
 
-// runDigest hashes one full run's observable output.
-func runDigest(t *testing.T, cfg Config) string {
+// runDigest hashes the observable output of one study run made with
+// run: (*Study).Run or the test oracle (*Study).runOracle.
+func runDigest(t *testing.T, cfg Config, run func(*Study) (*Result, error)) string {
 	t.Helper()
 	s, err := NewStudy(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Vault.Close()
-	res, err := s.Run()
+	res, err := run(s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,8 +42,9 @@ func runDigest(t *testing.T, cfg Config) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// TestGoldenFullRun pins the default-seed, 225-day collection in both
-// run modes to one recorded digest.
+// TestGoldenFullRun pins the default-seed, 225-day collection to one
+// recorded digest, both from the test oracle and from Run over the
+// on-disk vault with a spilling pending queue and survivor log.
 func TestGoldenFullRun(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full 225-day run")
@@ -50,7 +52,6 @@ func TestGoldenFullRun(t *testing.T) {
 	cfg := DefaultConfig()
 
 	scfg := cfg
-	scfg.Streaming = true
 	scfg.VaultDir = t.TempDir()
 	scfg.SpillDir = t.TempDir()
 	scfg.SpillBudgetBytes = 1 << 20
@@ -58,9 +59,29 @@ func TestGoldenFullRun(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		cfg  Config
-	}{{"materialized", cfg}, {"streaming-logvault-spill", scfg}} {
-		if got := runDigest(t, tc.cfg); got != goldenFullRun {
+		run  func(*Study) (*Result, error)
+	}{{"oracle", cfg, (*Study).runOracle}, {"run-logvault-spill", scfg, (*Study).Run}} {
+		if got := runDigest(t, tc.cfg, tc.run); got != goldenFullRun {
 			t.Errorf("%s: digest %s, want %s", tc.name, got, goldenFullRun)
+		}
+	}
+}
+
+// TestFullRunMatchesOracle checks Run against the test oracle over the
+// full window at two more seeds (the default seed is the golden's), by
+// runDigest: the result and every vault record. The experiment suite is
+// a pure function of the study, its Result, its vault and the
+// ecosystem, so this covers every table and figure it renders.
+func TestFullRunMatchesOracle(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full 225-day runs")
+	}
+	for _, seed := range []int64{9, 101} {
+		cfg := DefaultConfig()
+		cfg.Seed = seed
+		got, want := runDigest(t, cfg, (*Study).Run), runDigest(t, cfg, (*Study).runOracle)
+		if got != want {
+			t.Errorf("seed %d: Run digest %s, oracle %s", seed, got, want)
 		}
 	}
 }

@@ -14,35 +14,28 @@ import (
 // form; instants survive the round trip exactly.
 func timeFromUnixNano(ns int64) time.Time { return time.Unix(0, ns).UTC() }
 
-// streamSink receives the chunked run's two ordered event streams:
-// onUnit fires once per generation unit in global unit order (the exact
-// order Run's sequential merge appends in), onDay fires once per
-// non-outage day in day order with that day's traffic already stably
-// sorted by Received — which is the same order the materialized path's
-// single global stable sort visits them in, because every email lands
-// within its day and days are disjoint. Every email arrives with its
-// spamfilter.Prepare evidence, computed on the par pool, so the
-// callbacks run only the ordered part of the funnel.
-type streamSink struct {
-	// samples prepares each unit's spam samples on the worker that
-	// generated them.
-	samples *spamfilter.Classifier
-	// traffic prepares each drained day's typo-candidate emails.
-	traffic *spamfilter.Classifier
-	onUnit  func(u genUnit, out *unitResult)
-	onDay   func(day int, emails []pendEmail, prep []spamfilter.Prepared) error
-}
-
-// streamChunks drives the pass over the collection: generate
+// streamChunks drives Run's pass over the collection: generate
 // StreamChunkDays-sized chunks of units on the par pool (par.MapAt keeps
 // each unit on the same PRNG sub-stream as the unchunked par.Map), merge
 // them in unit order, and drain every day that can no longer receive
 // traffic (units only schedule into their own day or later, so a day is
-// final once generation has moved past it). The days one flush drains
-// are prepared in a single par fan-out before they replay in order. The
-// pending queue bounds the working set; with a spill dir it stays
-// bounded even when episodes trail their cause by many days.
-func (s *Study) streamChunks(rates []typoRates, sink streamSink) error {
+// final once generation has moved past it). The pending queue bounds the
+// working set; with a spill dir it stays bounded even when episodes
+// trail their cause by many days.
+//
+// It emits two ordered event streams. onUnit fires once per generation
+// unit in global unit order, the order the test oracle's merge appends
+// in, with the unit's spam samples already prepared by samples on the
+// worker that generated them. onDay fires once per non-outage day in day
+// order with that day's traffic stably sorted by Received and prepared
+// by traffic — the order the oracle's single global stable sort visits
+// it in, because every email lands within its day and days are
+// disjoint. The days one flush drains are prepared in a single par
+// fan-out before they replay in order, so the callbacks run only the
+// ordered part of the funnel.
+func (s *Study) streamChunks(rates []typoRates, samples, traffic *spamfilter.Classifier,
+	onUnit func(u genUnit, out *unitResult),
+	onDay func(emails []pendEmail, prep []spamfilter.Prepared) error) error {
 	q, err := newPendQueue(s.Cfg.SpillDir, "pending", s.Cfg.SpillBudgetBytes)
 	if err != nil {
 		return err
@@ -63,12 +56,12 @@ func (s *Study) streamChunks(rates []typoRates, sink streamSink) error {
 					out := s.generateUnit(u, rates[u.di], rng, start)
 					out.prepared = make([]spamfilter.Prepared, len(out.samples))
 					for i, e := range out.samples {
-						out.prepared[i] = sink.samples.Prepare(e)
+						out.prepared[i] = samples.Prepare(e)
 					}
 					return out
 				})
 			for k, u := range chunk {
-				sink.onUnit(u, &outs[k])
+				onUnit(u, &outs[k])
 				for _, se := range outs[k].sched {
 					if err := q.add(se.day, pendEmail{e: se.e, di: u.di, contaminant: se.contaminant}); err != nil {
 						return err
@@ -79,7 +72,7 @@ func (s *Study) streamChunks(rates []typoRates, sink streamSink) error {
 			chunk = chunk[:0]
 		}
 		var emails []pendEmail
-		var days, ends []int
+		var ends []int
 		for ; drained < upTo; drained++ {
 			if s.inOutage(drained) {
 				// The infrastructure was down: whatever landed is lost.
@@ -94,16 +87,16 @@ func (s *Study) streamChunks(rates []typoRates, sink streamSink) error {
 				return day[i].e.Received.Before(day[j].e.Received)
 			})
 			emails = append(emails, day...)
-			days, ends = append(days, drained), append(ends, len(emails))
+			ends = append(ends, len(emails))
 		}
 		prep := make([]spamfilter.Prepared, len(emails))
-		par.For(len(emails), func(i int) { prep[i] = sink.traffic.Prepare(emails[i].e) })
+		par.For(len(emails), func(i int) { prep[i] = traffic.Prepare(emails[i].e) })
 		lo := 0
-		for k, day := range days {
-			if err := sink.onDay(day, emails[lo:ends[k]], prep[lo:ends[k]]); err != nil {
+		for _, end := range ends {
+			if err := onDay(emails[lo:end], prep[lo:end]); err != nil {
 				return err
 			}
-			lo = ends[k]
+			lo = end
 		}
 		return nil
 	}
@@ -137,13 +130,12 @@ type domainTally struct {
 	spam, filtered, spamEscaped, receiver, reflection, smtpTypo, smtpFreqFiltered int
 }
 
-// streamTally defers every integer classification contribution of the
-// streaming run. The materialized path performs all float volume
-// allocations before any classification +1, so each accumulator sees
-// "volume adds, then N unit increments"; the streaming run reproduces
-// that exact per-accumulator sequence by counting as verdicts become
-// final and applying repeated += 1 at the end (never += N — float
-// addition does not distribute).
+// streamTally defers every integer classification contribution of Run.
+// The test oracle (runOracle) performs all float volume allocations
+// before any classification +1, so each accumulator sees "volume adds,
+// then N unit increments"; Run reproduces that exact per-accumulator
+// sequence by counting as verdicts become final and applying repeated
+// += 1 at the end (never += N — float addition does not distribute).
 type streamTally struct {
 	domains map[string]*domainTally
 	series  map[*simclock.DaySeries][]int
@@ -214,143 +206,19 @@ func (t *streamTally) apply(res *Result) {
 	}
 }
 
-// runStreaming is Run's chunked equivalent: byte-identical output with
-// a working set bounded by the chunk size, the pending queue's spill
-// budget and the (small) corpus-wide frequency tables, instead of the
-// whole materialized collection.
-//
-// Layer 5 of the funnel is corpus-wide, so no email can be given its
-// final verdict before the whole window has been seen. One pass streams
-// generation, decides every email through layers 1–4 in arrival order,
-// and harvests the calibration tallies and the Layer 5 frequency
-// tables. Every email a layer 1–4 filter caught is final then and is
-// counted at once; each survivor goes, in arrival order, to a survivor
-// log with its verdict and keys. Once the pass is over, the unit
-// volumes are allocated in unit order and the log replays through
-// ApplyLayer5 with the completed tables — exactly the decomposition
-// Classify performs in one sweep.
-func (s *Study) runStreaming(rates []typoRates) (*Result, error) {
-	ourDomains := s.ourDomainSet()
-	start := simclock.CollectionStart
-	res := s.newResult(start)
-
-	survivors, err := newSurvivorLog(s.Cfg.SpillDir)
-	if err != nil {
-		return nil, err
-	}
-	defer survivors.close()
-
-	calCls := spamfilter.NewClassifier(spamfilter.Config{
-		OurDomains:       ourDomains,
-		RcptThreshold:    2,
-		SenderThreshold:  1,
-		ContentThreshold: 1,
-	})
-	cal := map[bool]*spamCalib{false: {}, true: {}}
-	calFreq := spamfilter.NewFreqTables()
-	var calSurv []calSurvivor
-	cls := spamfilter.NewClassifier(spamfilter.Config{OurDomains: ourDomains})
-	mainFreq := spamfilter.NewFreqTables()
-	tally := newStreamTally(s.Cfg.Days)
-	volumes := make([]float64, 0, s.Cfg.Days*len(s.Domains)) // unit order
-	emailsSeen := 0
-
-	err = s.streamChunks(rates, streamSink{
-		samples: calCls,
-		traffic: cls,
-		onUnit: func(u genUnit, out *unitResult) {
-			isTrap := s.Domains[u.di].Kind == KindSMTPTrap
-			// Calibration samples arrive nondecreasing in Received
-			// (day-major at a fixed hour), so deciding them here in
-			// unit order matches calCls.Classify's stable sort exactly.
-			for i := range out.prepared {
-				p := &out.prepared[i]
-				r := calCls.Decide(p)
-				c := cal[isTrap]
-				c.total++
-				switch {
-				case r.Verdict.IsSpamVerdict():
-					c.spamV++
-				case r.Verdict == spamfilter.VerdictReflection:
-					c.filtered++
-				default:
-					calFreq.Add(p.Keys)
-					calSurv = append(calSurv, calSurvivor{isTrap: isTrap, keys: p.Keys})
-				}
-			}
-			emailsSeen += len(out.prepared)
-			volumes = append(volumes, out.volume)
-			res.SMTPPersistence = append(res.SMTPPersistence, out.persistence...)
-			res.SMTPEpisodeSizes = append(res.SMTPEpisodeSizes, out.episodeSizes...)
-		},
-		onDay: func(day int, emails []pendEmail, prep []spamfilter.Prepared) error {
-			for i := range emails {
-				pe := &emails[i]
-				r := cls.Decide(&prep[i])
-				if !r.Verdict.IsTrueTypo() {
-					s.recordStreamed(res, tally, r, pe)
-					continue
-				}
-				mainFreq.Add(prep[i].Keys)
-				pe.verdict, pe.keys = r.Verdict, prep[i].Keys
-				survivors.add(*pe)
-			}
-			emailsSeen += len(emails)
-			return survivors.seal()
-		},
-	})
-	if err != nil {
-		return nil, err
-	}
-
-	// Resolve the deferred calibration Layer 5 now the corpus-wide
-	// frequencies are complete, then release the calibration state and
-	// the pass's classifier: the replay needs only the fraction
-	// tallies, mainFreq and the default Layer 5 thresholds.
-	for _, sv := range calSurv {
-		c := cal[sv.isTrap]
-		if calCls.KeysExceed(calFreq, sv.keys) {
-			c.filtered++
-		} else {
-			c.escaped++
-		}
-	}
-	calSurv, calFreq, cls = nil, nil, nil
-
-	s.allocateVolumes(res, cal, volumes)
-	volumes = nil
-
-	layer5 := spamfilter.NewClassifier(spamfilter.Config{OurDomains: ourDomains})
-	err = survivors.drain(func(pe *pendEmail) error {
-		r := spamfilter.Result{Email: pe.e, Verdict: pe.verdict}
-		layer5.ApplyLayer5(&r, pe.keys, mainFreq)
-		s.recordStreamed(res, tally, r, pe)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-
-	tally.apply(res)
-	res.EmailsProcessed = emailsSeen
-	s.annualize(res)
-	return res, nil
-}
-
 // recordStreamed folds one email's final verdict into the tally. A
 // contaminant scam that survived is contamination among the apparent
 // typos, one the funnel caught is ordinary spam; every other email goes
 // through recordTypoStreamed.
-func (s *Study) recordStreamed(res *Result, t *streamTally, r spamfilter.Result, pe *pendEmail) {
+func (s *Study) recordStreamed(res *Result, t *streamTally, r spamfilter.Result, pe *pendEmail) error {
 	d := &s.Domains[pe.di]
 	if !pe.contaminant {
-		s.recordTypoStreamed(res, t, r, d)
-		return
+		return s.recordTypoStreamed(res, t, r, d)
 	}
 	dt := t.domain(d.Name)
 	if !r.Verdict.IsTrueTypo() {
 		dt.spam++
-		return
+		return nil
 	}
 	dt.spamEscaped++
 	if d.Kind == KindSMTPTrap {
@@ -358,13 +226,15 @@ func (s *Study) recordStreamed(res *Result, t *streamTally, r spamfilter.Result,
 	} else {
 		t.hit(res.ReceiverTrueDaily, r.Email.Received)
 	}
+	return nil
 }
 
-// recordTypoStreamed mirrors recordTypoResult with the integer counts
-// deferred into the tally; the sanitizer/vault path runs inline because
-// vault record IDs depend on Put order, which the survivor log's replay
-// visits in the materialized loop's exact sequence.
-func (s *Study) recordTypoStreamed(res *Result, t *streamTally, r spamfilter.Result, d *StudyDomain) {
+// recordTypoStreamed folds one typo-candidate email's final verdict into
+// the result: day series, per-domain stats, heatmap, attachments, vault.
+// The integer counts are deferred into the tally; the sanitizer/vault
+// path runs inline because vault record IDs depend on Put order, which
+// the survivor log's replay visits in the test oracle's exact sequence.
+func (s *Study) recordTypoStreamed(res *Result, t *streamTally, r spamfilter.Result, d *StudyDomain) error {
 	dt := t.domain(d.Name)
 	when := r.Email.Received
 	isTrapSeries := d.Kind == KindSMTPTrap
@@ -377,7 +247,7 @@ func (s *Study) recordTypoStreamed(res *Result, t *streamTally, r spamfilter.Res
 		} else {
 			t.hit(res.ReceiverTrueDaily, when)
 		}
-		s.recordSensitive(res, r.Email, d)
+		return s.recordSensitive(res, r.Email, d)
 	case spamfilter.VerdictSMTPTypo:
 		dt.smtpTypo++
 		t.hit(res.SMTPTrueDaily, when)
@@ -407,4 +277,5 @@ func (s *Study) recordTypoStreamed(res *Result, t *streamTally, r spamfilter.Res
 			t.hit(res.ReceiverSpamDaily, when)
 		}
 	}
+	return nil
 }

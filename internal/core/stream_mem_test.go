@@ -56,9 +56,9 @@ func peakHeap(fn func()) uint64 {
 
 // TestStreamingFlatMemory is the scale bar from the issue: Experiment 1
 // (the full collection study) at 100x the day count must run with a flat
-// working set — peak heap within 2x of the 1x run. The materialized path
-// cannot do this (it holds every email of the whole window at once); the
-// streaming substrate's chunk + spill design must.
+// working set — peak heap within 2x of the 1x run. The test oracle
+// (runOracle) cannot do this: it holds every email of the whole window
+// at once. Run's chunk + spill design must.
 func TestStreamingFlatMemory(t *testing.T) {
 	if testing.Short() {
 		t.Skip("heap-profiling scale test; skipped in -short")
@@ -71,7 +71,6 @@ func TestStreamingFlatMemory(t *testing.T) {
 		cfg.Seed = 20160604
 		cfg.Days = days
 		cfg.Outages = nil
-		cfg.Streaming = true
 		cfg.StreamChunkDays = 2
 		cfg.SpillDir = t.TempDir()
 		// A small spill budget makes the pending queue's resident ceiling

@@ -12,83 +12,102 @@ import (
 	"repro/internal/spamfilter"
 )
 
-// runConfig renders one study run's resultString under the given knobs.
-func runConfig(t *testing.T, cfg Config, workers int) string {
+// renderRun renders one study run's resultString under the given knobs,
+// running it with run: (*Study).Run or the test oracle (*Study).runOracle.
+func renderRun(t *testing.T, cfg Config, workers int, run func(*Study) (*Result, error)) string {
 	t.Helper()
 	par.SetWorkers(workers)
 	s, err := NewStudy(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := s.Run()
+	res, err := run(s)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return resultString(res)
 }
 
-// TestStreamingSeedEquivalence is the streaming substrate's contract:
-// the chunked run is byte-identical to the materialized run for
-// any worker count, chunk size, and spill budget.
+// TestRunSeedEquivalence asserts the determinism-under-parallelism
+// contract on the collection run at its default knobs: for several
+// seeds, a parallel Run is byte-identical to the sequential (Workers=1)
+// one.
+func TestRunSeedEquivalence(t *testing.T) {
+	defer par.SetWorkers(0)
+	for _, seed := range []int64{3, 77, 20160604} {
+		cfg := DefaultConfig()
+		cfg.Seed = seed
+		cfg.Days = 60
+		ref := renderRun(t, cfg, 1, (*Study).Run)
+		for _, w := range []int{2, 8} {
+			if got := renderRun(t, cfg, w, (*Study).Run); got != ref {
+				t.Fatalf("seed %d: workers=%d result differs from sequential run", seed, w)
+			}
+		}
+	}
+}
+
+// TestStreamingSeedEquivalence is the run's determinism contract: for
+// several seeds, Run is byte-identical to the test oracle at any worker
+// count, chunk size and spill budget. A chunk of Days days is the
+// materialized run's shape inside Run: one generation fan-out and a
+// resident survivor log.
 func TestStreamingSeedEquivalence(t *testing.T) {
 	defer par.SetWorkers(0)
-	for _, seed := range []int64{3, 20160604} {
+	for _, seed := range []int64{3, 77, 20160604} {
 		cfg := DefaultConfig()
 		cfg.Seed = seed
 		cfg.Days = 60
 
-		ref := runConfig(t, cfg, 1)
+		ref := renderRun(t, cfg, 1, (*Study).runOracle)
 
-		cases := []struct {
-			name      string
-			workers   int
-			chunkDays int
-			spill     bool
-			budget    int64
-		}{
-			{name: "w1-chunk8", workers: 1, chunkDays: 8},
-			{name: "w8-chunk1", workers: 8, chunkDays: 1},
-			{name: "w2-chunk64", workers: 2, chunkDays: 64},
-			{name: "w8-chunk8-spill", workers: 8, chunkDays: 8, spill: true, budget: 1 << 14},
+		type knobs struct {
+			workers, chunkDays int
+			budget             int64 // spill budget; 0 runs without a SpillDir
 		}
+		var cases []knobs
+		for _, w := range []int{1, 2, 8} {
+			for _, c := range []int{1, 8, 64, cfg.Days} {
+				cases = append(cases, knobs{workers: w, chunkDays: c})
+			}
+		}
+		cases = append(cases, knobs{workers: 8, chunkDays: 8, budget: 1 << 14})
 		for _, tc := range cases {
 			scfg := cfg
-			scfg.Streaming = true
 			scfg.StreamChunkDays = tc.chunkDays
-			if tc.spill {
+			if tc.budget > 0 {
 				scfg.SpillDir = t.TempDir()
 				scfg.SpillBudgetBytes = tc.budget
 			}
-			if got := runConfig(t, scfg, tc.workers); got != ref {
-				t.Fatalf("seed %d %s: streaming result differs from materialized run", seed, tc.name)
+			if got := renderRun(t, scfg, tc.workers, (*Study).Run); got != ref {
+				t.Fatalf("seed %d %+v: result differs from the oracle", seed, tc)
 			}
-			if tc.spill {
+			if tc.budget > 0 {
 				left, _ := filepath.Glob(filepath.Join(scfg.SpillDir, "*.spill"))
 				if len(left) != 0 {
-					t.Fatalf("seed %d %s: spill segments left behind: %v", seed, tc.name, left)
+					t.Fatalf("seed %d %+v: spill segments left behind: %v", seed, tc, left)
 				}
 			}
 		}
 	}
 }
 
-// TestStreamingLogVaultEquivalence runs streaming mode against the
-// log-structured vault backend and checks the study output is identical
-// to the in-memory-vault materialized run — the backends and run modes
+// TestStreamingLogVaultEquivalence runs Run against the log-structured
+// vault backend and checks the study output is identical to the test
+// oracle's over the in-memory vault — the backends and the chunked run
 // compose without observable difference.
 func TestStreamingLogVaultEquivalence(t *testing.T) {
 	defer par.SetWorkers(0)
 	cfg := DefaultConfig()
 	cfg.Seed = 77
 	cfg.Days = 45
-	ref := runConfig(t, cfg, 1)
+	ref := renderRun(t, cfg, 1, (*Study).runOracle)
 
 	scfg := cfg
-	scfg.Streaming = true
 	scfg.VaultDir = t.TempDir()
 	scfg.VaultSegmentBytes = 1 << 14 // force rotation
-	if got := runConfig(t, scfg, 4); got != ref {
-		t.Fatal("streaming+logvault result differs from materialized run")
+	if got := renderRun(t, scfg, 4, (*Study).Run); got != ref {
+		t.Fatal("logvault result differs from the oracle")
 	}
 }
 

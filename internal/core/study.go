@@ -12,7 +12,6 @@ import (
 	"repro/internal/corpus"
 	"repro/internal/extract"
 	"repro/internal/mailmsg"
-	"repro/internal/par"
 	"repro/internal/sanitize"
 	"repro/internal/simclock"
 	"repro/internal/spamfilter"
@@ -36,19 +35,18 @@ type Config struct {
 	// day indices.
 	Outages [][2]int
 
-	// Streaming selects the chunked run (stream.go): generation proceeds
-	// chunk-at-a-time over the par seams with a bounded working set
-	// instead of materializing every day, and only the layer 1–4
-	// survivors are kept (spilled under SpillDir) for Layer 5. Output is
-	// byte-identical to the materialized path at any worker count and
-	// chunk size.
+	// Deprecated: Streaming is ignored. Every run streams; the field
+	// stays only for callers that still set it, and the next benchmark
+	// change drops it.
 	Streaming bool
 	// StreamChunkDays is how many collection days each generation chunk
-	// covers in streaming mode (default 8).
+	// covers (default 8). A chunk of at least Days days generates the
+	// whole window in one par fan-out.
 	StreamChunkDays int
-	// SpillDir, when set, lets the streaming run spill pending
-	// future-day traffic to encrypted segment files under this
-	// directory once the in-memory queue exceeds SpillBudgetBytes.
+	// SpillDir, when set, lets the run spill pending future-day traffic
+	// and the Layer 5 survivor log to encrypted files under this
+	// directory; the pending queue spills once it exceeds
+	// SpillBudgetBytes.
 	SpillDir string
 	// SpillBudgetBytes caps the pending queue's resident size before
 	// spilling (default 64 MiB; only meaningful with SpillDir).
@@ -174,7 +172,7 @@ type Result struct {
 	AuditPrecision float64
 	// EmailsProcessed is how many materialized emails went through the
 	// funnel (spam samples + typo-candidate traffic) — the throughput
-	// benchmark's work unit. Identical across run modes.
+	// benchmark's work unit.
 	EmailsProcessed int
 }
 
@@ -279,7 +277,7 @@ type schedEmail struct {
 type unitResult struct {
 	volume       float64
 	samples      []*spamfilter.Email
-	prepared     []spamfilter.Prepared // samples, prepared by the streaming run
+	prepared     []spamfilter.Prepared // samples, prepared on the generating worker
 	sched        []schedEmail
 	persistence  []float64
 	episodeSizes []int
@@ -390,7 +388,7 @@ func (s *Study) inOutage(day int) bool {
 	return false
 }
 
-// newResult builds the empty result frame both run modes fill in.
+// newResult builds the empty result frame a run fills in.
 func (s *Study) newResult(start time.Time) *Result {
 	res := &Result{
 		Days:                  s.Cfg.Days,
@@ -413,81 +411,35 @@ func (s *Study) newResult(start time.Time) *Result {
 
 // Run executes the collection over virtual time and classifies
 // everything through the five-layer funnel. Generation is sharded into
-// per-(day, domain) units on par's worker pool; the merge below folds
-// unit outputs back in unit order, so the run is byte-identical to a
-// sequential (par.SetWorkers(1)) run at any parallelism. With
-// Cfg.Streaming set, the equivalent chunked run (stream.go) executes
-// instead — same bytes out, bounded working set.
+// per-(day, domain) units and runs StreamChunkDays days at a time on
+// par's worker pool (streamChunks); everything after the fan-out visits
+// units and emails in order, so the output is byte-identical at any
+// worker count, chunk size and spill budget. The working set is bounded
+// by the chunk size, the pending queue's spill budget and the (small)
+// corpus-wide frequency tables, not by the whole collection.
+//
+// Layer 5 of the funnel is corpus-wide, so no email can be given its
+// final verdict before the whole window has been seen. One pass streams
+// generation, decides every email through layers 1–4 in arrival order,
+// and harvests the calibration tallies and the Layer 5 frequency
+// tables. Every email a layer 1–4 filter caught is final then and is
+// counted at once; each survivor goes, in arrival order, to a survivor
+// log with its verdict and keys. Once the pass is over, the unit
+// volumes are allocated in unit order and the log replays through
+// ApplyLayer5 with the completed tables — exactly the decomposition
+// Classify performs in one sweep.
 func (s *Study) Run() (*Result, error) {
 	rates := s.typoRatesByDomain()
-	if s.Cfg.Streaming {
-		return s.runStreaming(rates)
-	}
 	ourDomains := s.ourDomainSet()
-	classifier := spamfilter.NewClassifier(spamfilter.Config{OurDomains: ourDomains})
-
 	start := simclock.CollectionStart
 	res := s.newResult(start)
 
-	// Materialized spam samples, classified post hoc so Layer 5 frequency
-	// filtering sees the repeats; aggregate volumes recorded for later
-	// allocation once the calibration fractions are known.
-	volumes := make([]float64, 0, s.Cfg.Days*len(s.Domains))
-	spamSamples := make([]*spamfilter.Email, 0, s.Cfg.Days*len(s.Domains))
-	sampleTrap := make(map[*spamfilter.Email]bool)
-
-	// Deferred emails (reflection notifications, SMTP episode bursts)
-	// keyed by day index.
-	pending := make(map[int][]*spamfilter.Email)
-	typoMeta := make(map[*spamfilter.Email]*StudyDomain)
-	// Hand-written one-off scams survive every automated layer; ground
-	// truth lets the run report the contamination the paper's manual
-	// analysis measured (~20% of survivors).
-	contaminant := make(map[*spamfilter.Email]bool)
-
-	// ---- Parallel generation, in unit order so the merge below
-	// reproduces the sequential loop's append order exactly.
-	units := s.units()
-	unitOut := par.Map(par.SubSeed(s.Cfg.Seed, streamGenUnits), units,
-		func(i int, u genUnit, rng *rand.Rand) unitResult {
-			return s.generateUnit(u, rates[u.di], rng, start)
-		})
-
-	// ---- Ordered merge, identical to the sequential interleaving.
-	for k, u := range units {
-		out := unitOut[k]
-		d := &s.Domains[u.di]
-		for _, e := range out.samples {
-			sampleTrap[e] = d.Kind == KindSMTPTrap
-		}
-		spamSamples = append(spamSamples, out.samples...)
-		volumes = append(volumes, out.volume)
-		for _, se := range out.sched {
-			pending[se.day] = append(pending[se.day], se.e)
-			typoMeta[se.e] = d
-			if se.contaminant {
-				contaminant[se.e] = true
-			}
-		}
-		res.SMTPPersistence = append(res.SMTPPersistence, out.persistence...)
-		res.SMTPEpisodeSizes = append(res.SMTPEpisodeSizes, out.episodeSizes...)
+	survivors, err := newSurvivorLog(s.Cfg.SpillDir)
+	if err != nil {
+		return nil, err
 	}
-	// Collect materialized typo traffic in landing-day order; emails
-	// landing on outage days are dropped, as the downed infrastructure
-	// would have. typoMeta holds every scheduled email, so it bounds the
-	// size.
-	allTypoEmails := make([]*spamfilter.Email, 0, len(typoMeta))
-	for day := 0; day < s.Cfg.Days; day++ {
-		if s.inOutage(day) {
-			continue
-		}
-		allTypoEmails = append(allTypoEmails, pending[day]...)
-	}
+	defer survivors.close()
 
-	// ---- Calibrate the funnel on the materialized spam sample. The
-	// frequency thresholds scale with the sampling rate: one-in-N
-	// sampling means a campaign exceeding the paper's threshold of 10
-	// shows up as just a couple of sampled duplicates.
 	calCls := spamfilter.NewClassifier(spamfilter.Config{
 		OurDomains:       ourDomains,
 		RcptThreshold:    2,
@@ -495,57 +447,98 @@ func (s *Study) Run() (*Result, error) {
 		ContentThreshold: 1,
 	})
 	cal := map[bool]*spamCalib{false: {}, true: {}}
-	for _, r := range calCls.Classify(spamSamples) {
-		c := cal[sampleTrap[r.Email]]
-		c.total++
-		switch {
-		case r.Verdict.IsSpamVerdict():
-			c.spamV++
-		case r.Verdict == spamfilter.VerdictReflection || r.Verdict == spamfilter.VerdictFrequency:
+	calFreq := spamfilter.NewFreqTables()
+	var calSurv []calSurvivor
+	cls := spamfilter.NewClassifier(spamfilter.Config{OurDomains: ourDomains})
+	mainFreq := spamfilter.NewFreqTables()
+	tally := newStreamTally(s.Cfg.Days)
+	volumes := make([]float64, 0, s.Cfg.Days*len(s.Domains)) // unit order
+	emailsSeen := 0
+
+	onUnit := func(u genUnit, out *unitResult) {
+		isTrap := s.Domains[u.di].Kind == KindSMTPTrap
+		// Calibration samples arrive nondecreasing in Received
+		// (day-major at a fixed hour), so deciding them here in unit
+		// order matches calCls.Classify's stable sort exactly.
+		for i := range out.prepared {
+			p := &out.prepared[i]
+			r := calCls.Decide(p)
+			c := cal[isTrap]
+			c.total++
+			switch {
+			case r.Verdict.IsSpamVerdict():
+				c.spamV++
+			case r.Verdict == spamfilter.VerdictReflection:
+				c.filtered++
+			default:
+				calFreq.Add(p.Keys)
+				calSurv = append(calSurv, calSurvivor{isTrap: isTrap, keys: p.Keys})
+			}
+		}
+		emailsSeen += len(out.prepared)
+		volumes = append(volumes, out.volume)
+		res.SMTPPersistence = append(res.SMTPPersistence, out.persistence...)
+		res.SMTPEpisodeSizes = append(res.SMTPEpisodeSizes, out.episodeSizes...)
+	}
+	onDay := func(emails []pendEmail, prep []spamfilter.Prepared) error {
+		for i := range emails {
+			pe := &emails[i]
+			r := cls.Decide(&prep[i])
+			if !r.Verdict.IsTrueTypo() {
+				if err := s.recordStreamed(res, tally, r, pe); err != nil {
+					return err
+				}
+				continue
+			}
+			mainFreq.Add(prep[i].Keys)
+			pe.verdict, pe.keys = r.Verdict, prep[i].Keys
+			survivors.add(*pe)
+		}
+		emailsSeen += len(emails)
+		return survivors.seal()
+	}
+	if err := s.streamChunks(rates, calCls, cls, onUnit, onDay); err != nil {
+		return nil, err
+	}
+
+	// Resolve the deferred calibration Layer 5 now the corpus-wide
+	// frequencies are complete, then release the calibration state and
+	// the pass's classifier: the replay needs only the fraction
+	// tallies, mainFreq and the default Layer 5 thresholds.
+	for _, sv := range calSurv {
+		c := cal[sv.isTrap]
+		if calCls.KeysExceed(calFreq, sv.keys) {
 			c.filtered++
-		default:
+		} else {
 			c.escaped++
 		}
 	}
-	s.allocateVolumes(res, cal, volumes)
+	calSurv, calFreq, cls = nil, nil, nil
 
-	// Full funnel (including Layer 5 frequencies) over materialized
-	// typo-candidate traffic.
-	results := classifier.Classify(allTypoEmails)
-	for _, r := range results {
-		d := typoMeta[r.Email]
-		if d == nil {
-			continue
-		}
-		if contaminant[r.Email] {
-			// A scam that survived is contamination among the apparent
-			// typos; one the funnel caught is ordinary spam.
-			stats := res.PerDomain[d.Name]
-			if r.Verdict.IsTrueTypo() {
-				stats.SpamEscapedYearly++
-				if d.Kind == KindSMTPTrap {
-					res.SMTPTrueDaily.Add(r.Email.Received, 1)
-				} else {
-					res.ReceiverTrueDaily.Add(r.Email.Received, 1)
-				}
-			} else {
-				stats.SpamYearly++
-			}
-			continue
-		}
-		s.recordTypoResult(res, r, d)
+	s.allocateVolumes(res, cal, volumes)
+	volumes = nil
+
+	layer5 := spamfilter.NewClassifier(spamfilter.Config{OurDomains: ourDomains})
+	err = survivors.drain(func(pe *pendEmail) error {
+		r := spamfilter.Result{Email: pe.e, Verdict: pe.verdict}
+		layer5.ApplyLayer5(&r, pe.keys, mainFreq)
+		return s.recordStreamed(res, tally, r, pe)
+	})
+	if err != nil {
+		return nil, err
 	}
 
-	res.EmailsProcessed = len(spamSamples) + len(allTypoEmails)
+	tally.apply(res)
+	res.EmailsProcessed = emailsSeen
 	s.annualize(res)
 	return res, nil
 }
 
 // allocateVolumes splits each unit's aggregate spam volume, given in
 // unit order (volumes[k] is units()[k]'s), by its domain kind's
-// calibration fractions. Both run modes call it once the fractions are
-// known, so every accumulator sees the same sequence of float
-// additions. The escaped sliver lands among the "true typo" survivors
+// calibration fractions. Run and the test oracle (runOracle) both call
+// it once the fractions are known, so every accumulator sees the same
+// sequence of float additions. The escaped sliver lands among the "true typo" survivors
 // — the contamination the paper's manual analysis measured at ~20% of
 // survivors.
 func (s *Study) allocateVolumes(res *Result, cal map[bool]*spamCalib, volumes []float64) {
@@ -616,56 +609,11 @@ func (s *Study) buildReceiverTypo(rng *rand.Rand, d *StudyDomain, when time.Time
 	}
 }
 
-// recordTypoResult folds one classified typo-candidate email into the
-// result: day series, per-domain stats, heatmap, attachments, vault.
-func (s *Study) recordTypoResult(res *Result, r spamfilter.Result, d *StudyDomain) {
-	stats := res.PerDomain[d.Name]
-	when := r.Email.Received
-	isTrapSeries := d.Kind == KindSMTPTrap
-
-	switch r.Verdict {
-	case spamfilter.VerdictReceiverTypo:
-		stats.ReceiverYearly++
-		if isTrapSeries {
-			res.SMTPTrueDaily.Add(when, 1)
-		} else {
-			res.ReceiverTrueDaily.Add(when, 1)
-		}
-		s.recordSensitive(res, r.Email, d)
-	case spamfilter.VerdictSMTPTypo:
-		stats.SMTPTypoYearly++
-		res.SMTPTrueDaily.Add(when, 1)
-	case spamfilter.VerdictReflection:
-		stats.ReflectionYearly++
-		stats.FilteredYearly++
-		if isTrapSeries {
-			res.SMTPFilteredDaily.Add(when, 1)
-		} else {
-			res.ReceiverFilteredDaily.Add(when, 1)
-		}
-	case spamfilter.VerdictFrequency:
-		stats.FilteredYearly++
-		if r.FreqOf == spamfilter.VerdictSMTPTypo {
-			stats.SMTPFreqFilteredYearly++
-			res.SMTPFilteredDaily.Add(when, 1)
-		} else if isTrapSeries {
-			res.SMTPFilteredDaily.Add(when, 1)
-		} else {
-			res.ReceiverFilteredDaily.Add(when, 1)
-		}
-	default: // spam verdicts on materialized typo traffic (rare)
-		stats.SpamYearly++
-		if isTrapSeries {
-			res.SMTPSpamDaily.Add(when, 1)
-		} else {
-			res.ReceiverSpamDaily.Add(when, 1)
-		}
-	}
-}
-
 // recordSensitive runs the sanitizer pipeline on a surviving typo email:
-// extract text from body and attachments, scan, store encrypted.
-func (s *Study) recordSensitive(res *Result, e *spamfilter.Email, d *StudyDomain) {
+// extract text from body and attachments, scan, store encrypted. A
+// failed vault write is an error: the run must not go on without the
+// evidence it was meant to keep.
+func (s *Study) recordSensitive(res *Result, e *spamfilter.Email, d *StudyDomain) error {
 	var text strings.Builder
 	text.WriteString(e.Msg.Body)
 	for _, a := range e.Msg.Attachments {
@@ -687,9 +635,11 @@ func (s *Study) recordSensitive(res *Result, e *spamfilter.Email, d *StudyDomain
 		}
 		hm[f.Label]++
 	}
-	if _, err := s.Vault.Put(d.Name, spamfilter.VerdictReceiverTypo.String(), e.Received, []byte(clean)); err == nil {
-		res.VaultRecords++
+	if _, err := s.Vault.Put(d.Name, spamfilter.VerdictReceiverTypo.String(), e.Received, []byte(clean)); err != nil {
+		return fmt.Errorf("core: vaulting a %s typo: %w", d.Name, err)
 	}
+	res.VaultRecords++
+	return nil
 }
 
 // interestingKind filters the heatmap to Figure 6's high-value labels

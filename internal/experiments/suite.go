@@ -76,12 +76,11 @@ type Suite struct {
 func NewSuite(seed int64) *Suite { return &Suite{Seed: seed} }
 
 // materialize runs the study and generates the ecosystem once. The study
-// streams with its survivor log and vault resident (no SpillDir or VaultDir).
+// keeps its survivor log and vault resident (no SpillDir or VaultDir).
 func (s *Suite) materialize() error {
 	s.once.Do(func() {
 		cfg := core.DefaultConfig()
 		cfg.Seed = s.Seed
-		cfg.Streaming = true
 		study, err := core.NewStudy(cfg)
 		if err != nil {
 			s.err = err

@@ -4,7 +4,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/par"
 )
 
@@ -60,35 +59,5 @@ func TestAllSeedEquivalenceColdStart(t *testing.T) {
 	par.SetWorkers(8)
 	if got := renderAll(t, NewSuite(seed)); got != ref {
 		t.Fatal("workers=8 cold-start rendering differs from sequential run")
-	}
-}
-
-// TestSuiteStreamingMatchesMaterialized keeps the materialized study
-// run as the suite's oracle: a suite built from a Streaming=false study
-// (sharing NewSuite's ecosystem, which the drivers only read) must
-// render every table and figure byte-identically to NewSuite, which runs
-// the study streaming.
-func TestSuiteStreamingMatchesMaterialized(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full suite materialization; skipped in -short mode")
-	}
-	for _, seed := range []int64{9, 101, 20160604} {
-		streaming := NewSuite(seed)
-		got := renderAll(t, streaming)
-		cfg := core.DefaultConfig()
-		cfg.Seed = seed
-		study, err := core.NewStudy(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := study.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		oracle := &Suite{Seed: seed, study: study, res: res, eco: streaming.eco}
-		oracle.once.Do(func() {}) // the substrate is already loaded
-		if want := renderAll(t, oracle); got != want {
-			t.Fatalf("seed %d: streaming suite rendering differs from the materialized oracle", seed)
-		}
 	}
 }
