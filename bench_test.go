@@ -457,27 +457,6 @@ func BenchmarkAblationTypingModel(b *testing.B) {
 	})
 }
 
-// BenchmarkFullCollectionRun times the whole 225-day simulation — the
-// substrate every figure rests on.
-func BenchmarkFullCollectionRun(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		cfg := core.DefaultConfig()
-		cfg.Seed = 20160604 + int64(i)
-		study, err := core.NewStudy(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		res, err := study.Run()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if res.SurvivorsYearly <= 0 {
-			b.Fatal("empty run")
-		}
-	}
-}
-
 // BenchmarkStudyThroughput drives a full collection run end-to-end
 // through the streaming substrate — chunked generation with a Layer 5
 // survivor replay, encrypted disk spill, log-structured on-disk vault —

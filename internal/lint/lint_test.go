@@ -263,6 +263,37 @@ func Forward(conn net.Conn, m *mailmsg.Message) error {
 			count: 1,
 		},
 		{
+			// Message keeps its headers as a slice of fields; the field
+			// table's "header" entry is what taints the values read out
+			// of it, since no call on the raw receiver is involved.
+			name:     "keyleak flags a header value read from the field slice",
+			analyzer: "keyleak",
+			files: map[string]string{
+				"internal/mailmsg/mailmsg.go": `package mailmsg
+
+import "log"
+
+type headerField struct {
+	key  string
+	vals []string
+}
+
+type Message struct {
+	header []headerField
+	Body   string
+}
+
+func (m *Message) Trace() {
+	for _, f := range m.header {
+		log.Printf("%s has %d values, first %s", f.key, len(f.vals), f.vals[0])
+	}
+}
+`,
+			},
+			want:  []string{"internal/mailmsg/mailmsg.go:17: [keyleak]", "the process log (log.Printf)"},
+			count: 1,
+		},
+		{
 			name:     "mutexcopy flags by-value lock parameter",
 			analyzer: "mutexcopy",
 			files: map[string]string{

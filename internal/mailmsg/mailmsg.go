@@ -42,9 +42,10 @@ func (a Attachment) Ext() string {
 
 // Message is a parsed or under-construction email.
 type Message struct {
-	// header preserves insertion order; keys are canonicalized.
-	headerKeys []string
-	header     map[string][]string
+	// header holds one field per canonical key, in insertion order.
+	// SetHeader installs a new value slice and AddHeader only appends,
+	// so no slice is written below its length and Clone may share them.
+	header []headerField
 
 	Body string
 	// HTMLBody, when set, is serialized as a multipart/alternative
@@ -54,9 +55,36 @@ type Message struct {
 	Attachments []Attachment
 }
 
+// headerField is one header name and its values.
+type headerField struct {
+	key  string
+	vals []string
+}
+
 // New returns an empty message.
-func New() *Message {
-	return &Message{header: make(map[string][]string)}
+func New() *Message { return &Message{} }
+
+// values returns the values of the canonical key, or nil. A message
+// carries a handful of header names, so a scan beats hashing.
+func (m *Message) values(key string) []string {
+	for _, f := range m.header {
+		if f.key == key {
+			return f.vals
+		}
+	}
+	return nil
+}
+
+// fieldFor returns the field of the canonical key, appending an empty
+// one when the key is new.
+func (m *Message) fieldFor(key string) *headerField {
+	for i := range m.header {
+		if m.header[i].key == key {
+			return &m.header[i]
+		}
+	}
+	m.header = append(m.header, headerField{key: key})
+	return &m.header[len(m.header)-1]
 }
 
 // canonicalKey normalizes header names ("reply-to" -> "Reply-To").
@@ -98,50 +126,42 @@ func isCanonicalKey(k string) bool {
 }
 
 // SetHeader replaces all values of key.
-func (m *Message) SetHeader(key, value string) {
-	key = canonicalKey(key)
-	if _, ok := m.header[key]; !ok {
-		m.headerKeys = append(m.headerKeys, key)
-	}
-	m.header[key] = []string{value}
-}
+func (m *Message) SetHeader(key, value string) { m.fieldFor(canonicalKey(key)).vals = []string{value} }
 
-// AddHeader appends a value to key.
+// AddHeader appends a value to key, in amortized O(1): a slice Clone
+// shares has no spare capacity, so only a slice this message owns
+// alone grows in place.
 func (m *Message) AddHeader(key, value string) {
-	key = canonicalKey(key)
-	if _, ok := m.header[key]; !ok {
-		m.headerKeys = append(m.headerKeys, key)
-	}
-	m.header[key] = append(m.header[key], value)
+	f := m.fieldFor(canonicalKey(key))
+	f.vals = append(f.vals, value)
 }
 
 // Header returns the first value of key, or "".
 func (m *Message) Header(key string) string {
-	vs := m.header[canonicalKey(key)]
-	if len(vs) == 0 {
-		return ""
+	if vs := m.values(canonicalKey(key)); len(vs) > 0 {
+		return vs[0]
 	}
-	return vs[0]
+	return ""
 }
 
-// HeaderValues returns all values of key.
-func (m *Message) HeaderValues(key string) []string { return m.header[canonicalKey(key)] }
+// HeaderValues returns a copy of all values of key.
+func (m *Message) HeaderValues(key string) []string {
+	return append([]string(nil), m.values(canonicalKey(key))...)
+}
 
 // HasHeader reports whether key is present.
-func (m *Message) HasHeader(key string) bool { return len(m.header[canonicalKey(key)]) > 0 }
+func (m *Message) HasHeader(key string) bool { return len(m.values(canonicalKey(key))) > 0 }
 
-// Clone returns a deep copy: headers (in insertion order), bodies and
-// attachment bytes share nothing with m, so either may be mutated
-// without the other seeing it.
+// Clone returns a copy that either side may mutate without the other
+// seeing it. It shares the header value slices, clipped to their length
+// so an append on either side reallocates, and copies the attachments
+// and their bytes, which callers may write in place.
 func (m *Message) Clone() *Message {
-	c := &Message{
-		headerKeys: append([]string(nil), m.headerKeys...),
-		header:     make(map[string][]string, len(m.headerKeys)),
-		Body:       m.Body,
-		HTMLBody:   m.HTMLBody,
-	}
-	for _, k := range m.headerKeys {
-		c.header[k] = append([]string(nil), m.header[k]...)
+	c := *m
+	c.header = append([]headerField(nil), m.header...)
+	for i := range c.header {
+		vs := c.header[i].vals
+		c.header[i].vals = vs[:len(vs):len(vs)]
 	}
 	if m.Attachments != nil {
 		c.Attachments = make([]Attachment, len(m.Attachments))
@@ -150,11 +170,17 @@ func (m *Message) Clone() *Message {
 			c.Attachments[i] = a
 		}
 	}
-	return c
+	return &c
 }
 
 // HeaderKeys returns the header names in insertion order.
-func (m *Message) HeaderKeys() []string { return append([]string(nil), m.headerKeys...) }
+func (m *Message) HeaderKeys() []string {
+	keys := make([]string, len(m.header))
+	for i, f := range m.header {
+		keys[i] = f.key
+	}
+	return keys
+}
 
 // Convenience accessors for the fields the filter layers read.
 
@@ -246,41 +272,33 @@ func (m *Message) Bytes() []byte {
 	boundary := m.mimeBoundary()
 	altBoundary := boundary + "_alt"
 
-	for _, k := range m.headerKeys {
-		switch k {
+	for _, f := range m.header {
+		switch f.key {
 		case "Content-Type", "Content-Transfer-Encoding", "Mime-Version":
 			// Bytes owns the MIME structure; stale structural headers from
 			// a previous parse would contradict the body being written.
 			continue
 		}
-		for _, v := range m.header[k] {
-			fmt.Fprintf(&b, "%s: %s\r\n", k, sanitizeHeaderValue(v))
+		for _, v := range f.vals {
+			fmt.Fprintf(&b, "%s: %s\r\n", f.key, sanitizeHeaderValue(v))
 		}
 	}
 	b.WriteString("Mime-Version: 1.0\r\n")
 
-	writeTextPart := func(b *bytes.Buffer) {
-		b.WriteString("Content-Type: text/plain; charset=utf-8\r\n")
+	writeTextPart := func(b *bytes.Buffer, subtype, text string) {
+		fmt.Fprintf(b, "Content-Type: text/%s; charset=utf-8\r\n", subtype)
 		b.WriteString("Content-Transfer-Encoding: quoted-printable\r\n\r\n")
 		qp := quotedprintable.NewWriter(b)
-		io.WriteString(qp, m.Body)
-		qp.Close()
-		b.WriteString("\r\n")
-	}
-	writeHTMLPart := func(b *bytes.Buffer) {
-		b.WriteString("Content-Type: text/html; charset=utf-8\r\n")
-		b.WriteString("Content-Transfer-Encoding: quoted-printable\r\n\r\n")
-		qp := quotedprintable.NewWriter(b)
-		io.WriteString(qp, m.HTMLBody)
+		io.WriteString(qp, text)
 		qp.Close()
 		b.WriteString("\r\n")
 	}
 	writeAlternative := func(b *bytes.Buffer) {
 		fmt.Fprintf(b, "Content-Type: multipart/alternative; boundary=%q\r\n\r\n", altBoundary)
 		fmt.Fprintf(b, "--%s\r\n", altBoundary)
-		writeTextPart(b)
+		writeTextPart(b, "plain", m.Body)
 		fmt.Fprintf(b, "--%s\r\n", altBoundary)
-		writeHTMLPart(b)
+		writeTextPart(b, "html", m.HTMLBody)
 		fmt.Fprintf(b, "--%s--\r\n", altBoundary)
 	}
 
@@ -292,7 +310,7 @@ func (m *Message) Bytes() []byte {
 		if m.HTMLBody != "" {
 			writeAlternative(&b)
 		} else {
-			writeTextPart(&b)
+			writeTextPart(&b, "plain", m.Body)
 		}
 		for _, a := range m.Attachments {
 			fmt.Fprintf(&b, "--%s\r\n", boundary)
@@ -363,15 +381,22 @@ func Parse(raw []byte) (*Message, error) {
 	m := New()
 	// net/mail lowercases nothing but gives map order; preserve a stable
 	// order by sorting keys (original order is unrecoverable from the map).
+	// Distinct raw keys can share a canonical key ("X-A" and "x-a ");
+	// the index keeps merging them linear in the number of keys.
 	keys := make([]string, 0, len(mr.Header))
 	for k := range mr.Header {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
+	at := make(map[string]int, len(keys))
 	for _, k := range keys {
-		for _, v := range mr.Header[k] {
-			m.AddHeader(k, v)
+		ck := canonicalKey(k)
+		if _, ok := at[ck]; !ok {
+			at[ck] = len(m.header)
+			m.header = append(m.header, headerField{key: ck})
 		}
+		f := &m.header[at[ck]]
+		f.vals = append(f.vals, mr.Header[k]...)
 	}
 
 	ct := m.Header("Content-Type")
@@ -381,18 +406,16 @@ func Parse(raw []byte) (*Message, error) {
 		if err := m.parseMultipart(mr.Body, params["boundary"], 0); err != nil {
 			return nil, err
 		}
-	case err == nil && mediaType == "text/html":
-		body, rerr := io.ReadAll(decodeTransfer(mr.Body, m.Header("Content-Transfer-Encoding")))
-		if rerr != nil {
-			return nil, ErrBodyRead
-		}
-		m.HTMLBody = string(body)
 	default:
 		body, rerr := io.ReadAll(decodeTransfer(mr.Body, m.Header("Content-Transfer-Encoding")))
 		if rerr != nil {
 			return nil, ErrBodyRead
 		}
-		m.Body = string(body)
+		if err == nil && mediaType == "text/html" {
+			m.HTMLBody = string(body)
+		} else {
+			m.Body = string(body)
+		}
 	}
 	return m, nil
 }
@@ -468,34 +491,12 @@ func (m *Message) Text() string {
 func decodeTransfer(r io.Reader, encoding string) io.Reader {
 	switch strings.ToLower(strings.TrimSpace(encoding)) {
 	case "base64":
-		return base64.NewDecoder(base64.StdEncoding, newB64Cleaner(r))
+		// The decoder drops the CR/LF of wrapped lines itself.
+		return base64.NewDecoder(base64.StdEncoding, r)
 	case "quoted-printable":
 		return quotedprintable.NewReader(r)
 	default:
 		return r
-	}
-}
-
-// b64Cleaner strips CR/LF so wrapped base64 decodes.
-type b64Cleaner struct{ r io.Reader }
-
-func newB64Cleaner(r io.Reader) io.Reader { return &b64Cleaner{r} }
-
-func (c *b64Cleaner) Read(p []byte) (int, error) {
-	buf := make([]byte, len(p))
-	for {
-		n, err := c.r.Read(buf)
-		j := 0
-		for i := 0; i < n; i++ {
-			if buf[i] == '\r' || buf[i] == '\n' {
-				continue
-			}
-			p[j] = buf[i]
-			j++
-		}
-		if j > 0 || err != nil {
-			return j, err
-		}
 	}
 }
 

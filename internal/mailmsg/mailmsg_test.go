@@ -3,7 +3,9 @@ package mailmsg
 import (
 	"bytes"
 	"fmt"
+	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 	"time"
@@ -368,5 +370,141 @@ func TestCloneDeep(t *testing.T) {
 	m.Attachments[0].Data[1] = 9
 	if !bytes.Equal(c.Bytes(), before) {
 		t.Fatal("mutating the original changed the clone")
+	}
+}
+
+// TestAddHeaderAmortized bounds the allocations of many appends to one
+// key: the value slice grows by doubling, so 4,096 appends cost a few
+// dozen allocations, where copying the slice on every append would
+// cost one per call.
+func TestAddHeaderAmortized(t *testing.T) {
+	const n = 4096
+	allocs := testing.AllocsPerRun(10, func() {
+		m := New()
+		for i := 0; i < n; i++ {
+			m.AddHeader("Received", "hop")
+		}
+	})
+	if allocs > 40 {
+		t.Fatalf("%d AddHeader calls on one key: %.0f allocations, want <= 40", n, allocs)
+	}
+}
+
+// TestParseManyReceivedLinear checks that parsing a message with ~20k
+// Received: lines costs about as many bytes per line as one with 2k:
+// merging the values into one field must not copy the slice per line.
+func TestParseManyReceivedLinear(t *testing.T) {
+	bytesPerLine := func(n int) float64 {
+		var b strings.Builder
+		b.WriteString("From: a@b.example\r\nSubject: hops\r\n")
+		for i := 0; i < n; i++ {
+			fmt.Fprintf(&b, "Received: from relay%d.example by mx.example\r\n", i)
+		}
+		b.WriteString("\r\nbody\r\n")
+		raw := []byte(b.String())
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		m, err := Parse(raw)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := len(m.HeaderValues("Received")); got != n {
+			t.Fatalf("parsed %d Received values, want %d", got, n)
+		}
+		return float64(after.TotalAlloc-before.TotalAlloc) / float64(n)
+	}
+	small, large := bytesPerLine(2000), bytesPerLine(20000)
+	if large > 2*small {
+		t.Fatalf("Parse allocates %.0f B/line at 20k Received lines against %.0f at 2k: not linear", large, small)
+	}
+}
+
+// TestHeaderValuesIsACopy checks that writing into the slice
+// HeaderValues returns reaches neither the message nor its clone.
+func TestHeaderValuesIsACopy(t *testing.T) {
+	m := New()
+	m.AddHeader("Received", "hop1")
+	m.AddHeader("Received", "hop2")
+	c := m.Clone()
+	vs := m.HeaderValues("Received")
+	vs[0] = "forged"
+	vs = append(vs[:1], "forged2")
+	cs := c.HeaderValues("Received")
+	cs[1] = "forged3"
+	for _, msg := range []*Message{m, c} {
+		if got := strings.Join(msg.HeaderValues("Received"), ","); got != "hop1,hop2" {
+			t.Fatalf("Received = %q after writing a returned slice, want hop1,hop2", got)
+		}
+	}
+}
+
+// TestCloneAppendsIndependently checks that a clone and its original
+// can both append to a key whose value slice has spare capacity
+// without either append reaching the other.
+func TestCloneAppendsIndependently(t *testing.T) {
+	m := New()
+	for _, v := range []string{"hop1", "hop2", "hop3"} {
+		m.AddHeader("Received", v)
+	}
+	c := m.Clone()
+	c.AddHeader("Received", "clone")
+	m.AddHeader("Received", "orig")
+	if got := strings.Join(c.HeaderValues("Received"), ","); got != "hop1,hop2,hop3,clone" {
+		t.Errorf("clone Received = %q", got)
+	}
+	if got := strings.Join(m.HeaderValues("Received"), ","); got != "hop1,hop2,hop3,orig" {
+		t.Errorf("original Received = %q", got)
+	}
+}
+
+// TestCloneConcurrent clones one message from several goroutines, as
+// the campaign generator does with its shared skeletons, and mutates
+// every clone; under -race it checks that cloning only reads the
+// original and that no clone's writes reach it.
+func TestCloneConcurrent(t *testing.T) {
+	m := NewBuilder("a@b.example", "c@d.example", "hello").
+		Attach("x.zip", "application/zip", []byte{1, 2, 3}).
+		Build()
+	m.AddHeader("Received", "hop1")
+	m.AddHeader("Received", "hop2")
+	m.AddHeader("Received", "hop3")
+	orig := m.Bytes()
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				c := m.Clone()
+				c.SetHeader("To", fmt.Sprintf("r%d-%d@d.example", g, i))
+				c.AddHeader("Received", "hop4")
+				c.Attachments[0].Data[0] = byte(g)
+				if got := len(c.HeaderValues("Received")); got != 4 {
+					t.Errorf("clone has %d Received values, want 4", got)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	if !bytes.Equal(m.Bytes(), orig) {
+		t.Fatal("mutating clones changed the original")
+	}
+}
+
+// TestParseMergesCanonicalKeys checks that raw header names net/mail
+// keeps apart but that share a canonical key land in one field, in
+// sorted raw-key order.
+func TestParseMergesCanonicalKeys(t *testing.T) {
+	m, err := Parse([]byte("x-a : two\r\nX-A: one\r\nSubject: s\r\n\r\nbody\r\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := strings.Join(m.HeaderKeys(), ","); got != "Subject,X-A" {
+		t.Errorf("HeaderKeys = %q, want Subject,X-A", got)
+	}
+	if got := strings.Join(m.HeaderValues("X-A"), ","); got != "one,two" {
+		t.Errorf("X-A = %q, want one,two", got)
 	}
 }

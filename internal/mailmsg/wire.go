@@ -33,12 +33,11 @@ const maxWireField = 64 << 20
 // AppendWire appends the wire encoding of m to dst and returns the
 // extended slice.
 func (m *Message) AppendWire(dst []byte) []byte {
-	dst = binary.BigEndian.AppendUint32(dst, uint32(len(m.headerKeys)))
-	for _, k := range m.headerKeys {
-		dst = appendWireString(dst, k)
-		vals := m.header[k]
-		dst = binary.BigEndian.AppendUint32(dst, uint32(len(vals)))
-		for _, v := range vals {
+	dst = binary.BigEndian.AppendUint32(dst, uint32(len(m.header)))
+	for _, f := range m.header {
+		dst = appendWireString(dst, f.key)
+		dst = binary.BigEndian.AppendUint32(dst, uint32(len(f.vals)))
+		for _, v := range f.vals {
 			dst = appendWireString(dst, v)
 		}
 	}

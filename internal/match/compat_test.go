@@ -2,8 +2,11 @@ package match_test
 
 import (
 	"fmt"
+	"math/rand"
 	"reflect"
 	"regexp"
+	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/corpus"
@@ -38,23 +41,24 @@ var zooPatterns = []string{
 	`(?i)\b(bounce|unsubscribe|no-?reply|donotreply|mailer-daemon|notifications?)\b`,
 	`(?i)^(postmaster|root|admin|administrator|mailer-daemon|daemon|nobody|www-data)@`,
 	// adversarial zoo
-	`abab(ab)*c`,            // prefix-overlap literal
-	`(?i)ss+n`,              // fold-trap literal with plus
-	`(?i)kelvin`,            // U+212A trap at offset 0
-	`x[ab]{0,8}yz`,          // factor at a spread offset window
-	`[0-9]+-[0-9]+`,         // backwalk-shaped with digit class
-	`(a|bb)cc\b`,            // branch factors with differing offsets
-	`\bword\b`,              // pure boundary behaviour
-	`z*`,                    // empty-match capable: fallback path
-	`(?s).end`,              // no factor, any-char head: fallback/firstbyte edge
-	`(?i)(alpha|beta)\s=\d`, // mixed literal/class tail
+	`abab(ab)*c`,                  // prefix-overlap literal
+	`(?i)ss+n`,                    // fold-trap literal with plus
+	`(?i)kelvin`,                  // U+212A trap at offset 0
+	`x[ab]{0,8}yz`,                // factor at a spread offset window
+	`[0-9]+-[0-9]+`,               // backwalk-shaped with digit class
+	`(a|bb)cc\b`,                  // branch factors with differing offsets
+	`\bword\b`,                    // pure boundary behaviour
+	`z*`,                          // empty-match capable: fallback path
+	`(?s).end`,                    // no factor, any-char head: fallback/firstbyte edge
+	`(?i)(alpha|beta)\s=\d`,       // mixed literal/class tail
+	`(0|1)*0(0|1){12}2|[01]{40}3`, // window × counter DFA states: outgrows maxDFAStates
 }
 
 // adversarialInputs stresses exactly the edges the prefilter bends
 // around: Unicode fold traps, NUL and high bytes, invalid UTF-8,
 // matches at both text boundaries, overlapping literal occurrences,
 // and near-miss boundary contexts.
-var adversarialInputs = []string{
+var adversarialInputs = withStateBlowup([]string{
 	"",
 	"password is hunter2, username: jdoe",
 	"pa\u017Fsword is hunter2",          // U+017F inside keyword
@@ -92,6 +96,42 @@ var adversarialInputs = []string{
 	"zzzzz",
 	"ends in .end",
 	"alpha =5 BETA\t=9",
+})
+
+// blowupShort are near-misses and matches of the zoo's last pattern,
+// `(0|1)*0(0|1){12}2|[01]{40}3`.
+var blowupShort = []string{
+	"001111111111112",
+	"011111111111112",
+	"x100000000000002 012 02",
+	"000000000000000002-0000000000002",
+	strings.Repeat("01", 20) + "3 " + strings.Repeat("10", 19) + "3",
+	strings.Repeat("1", 45) + "3",
+}
+
+// withStateBlowup appends a text that pushes the last zoo pattern's DFA
+// past maxDFAStates (4,096). A candidate starts at every 0/1 byte, and
+// the DFA state k bytes into a run of them pairs which of the last 13
+// bytes were '0' with k itself while k <= 40, so walks over
+// blowupText's 300 pseudo-random 0/1 bytes would need ~9,000 states;
+// the DFA disables itself partway through. With no '2' or '3', the
+// text has no match. The short texts run once before it and once
+// after it, so every engine check meets this pattern both with an
+// exact DFA and with a disabled one. Binary digits keep the pattern's
+// candidates rare in the corpus texts the fuzzer mutates.
+func withStateBlowup(in []string) []string {
+	out := append(in, blowupShort...)
+	out = append(out, blowupText())
+	return append(out, blowupShort...)
+}
+
+func blowupText() string {
+	rng := rand.New(rand.NewSource(23))
+	b := make([]byte, 300)
+	for i := range b {
+		b[i] = "01"[rng.Intn(2)]
+	}
+	return string(b)
 }
 
 func allFindAll(e *match.Engine, id int, text string) [][]int {
@@ -250,6 +290,44 @@ func TestZooModes(t *testing.T) {
 	}
 	if got := e.Mode(25); got != "fallback" { // z*: empty match capable
 		t.Errorf("z* mode %s, want fallback", got)
+	}
+}
+
+// TestDFAStateBudget pins that the blow-up text really exhausts the
+// last zoo pattern's state budget, so the compat tests and
+// FuzzMatchEquivalence compare the disabled path with the oracle too.
+// Match runs first, from several goroutines on a fresh engine: the
+// accept intern hands out on exhaustion is fake, and no Match, whether
+// it caused the exhaustion or read the cached accept, may take it for a
+// match.
+func TestDFAStateBudget(t *testing.T) {
+	e := zooEngine(t)
+	id := len(zooPatterns) - 1
+	for _, text := range blowupShort {
+		checkPattern(t, e, id, text)
+	}
+	if e.DFADisabled(id) {
+		t.Fatal("short inputs already exhausted the DFA state budget")
+	}
+	text := blowupText()
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			s := e.Scan(text)
+			defer s.Release()
+			if s.Match(id) {
+				t.Error("Match reports a match in a text without '2' or '3'")
+			}
+		}()
+	}
+	wg.Wait()
+	if !e.DFADisabled(id) {
+		t.Fatalf("pattern %q: DFA still enabled after the blow-up text", zooPatterns[id])
+	}
+	for _, text := range adversarialInputs {
+		checkPattern(t, e, id, text)
 	}
 }
 

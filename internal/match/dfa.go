@@ -12,11 +12,11 @@ import (
 
 // dfa is a lazy byte-class DFA over a compiled regexp program,
 // answering one question per candidate: does an anchored match exist
-// starting here? It is an existence filter only — the exact span and
-// submatches always come from the anchored stdlib probe — so "accept"
-// may be approximate in exactly one direction (when the state budget
-// is exhausted the DFA disables itself and accepts everything), while
-// "reject" is always exact.
+// starting here? It never yields a span — spans and submatches always
+// come from the anchored stdlib probe. Its "reject" is always exact.
+// Its "accept" is exact too, unless it comes from a nil DFA or from a
+// DFA that disabled itself (the state budget ran out and it now
+// accepts everything); accepts reports which case it was.
 //
 // States are RE2-style delayed-closure sets: the raw (un-closed)
 // instruction set plus a prev-rune-is-word bit and a begin-of-text
@@ -170,12 +170,16 @@ func asciiFolds(r rune) []rune {
 }
 
 // accepts reports whether an anchored match of the pattern exists
-// starting at text[c:]. The byte before c supplies the \b context —
-// a continuation byte is a non-word byte exactly as its rune is a
-// non-word rune, so the byte-level check agrees with the oracle.
-func (d *dfa) accepts(text string, c int) bool {
+// starting at text[c:], and whether that answer is exact. The byte
+// before c supplies the \b context — a continuation byte is a non-word
+// byte exactly as its rune is a non-word rune, so the byte-level check
+// agrees with the oracle. A reject is always exact. An accept is exact
+// only if the DFA was still enabled after reaching it: on state-budget
+// exhaustion intern disables the DFA before it hands out (and caches)
+// the fake dfaAccept, so a fake accept is always seen with disabled set.
+func (d *dfa) accepts(text string, c int) (ok, exact bool) {
 	if d == nil || d.disabled.Load() {
-		return true
+		return true, false
 	}
 	idx := 0
 	if c > 0 && isWordByte(text[c-1]) {
@@ -200,15 +204,15 @@ func (d *dfa) accepts(text string, c int) bool {
 		}
 		switch ns {
 		case dfaAccept:
-			return true
+			return true, !d.disabled.Load()
 		case dfaDead:
-			return false
+			return false, true
 		}
 		if i >= len(text) {
-			return false
+			return false, true
 		}
 		if d.disabled.Load() {
-			return true
+			return true, false
 		}
 		s, i = ns, i+sz
 	}
@@ -339,7 +343,9 @@ func (d *dfa) intern(raw []uint32, prevWord, bot bool) *dState {
 	if d.nStates >= maxDFAStates {
 		// State explosion: permanently hand every decision to the
 		// probe. Cached transitions to this accept are harmless —
-		// accepts() re-checks the disabled flag anyway.
+		// accepts() re-checks the disabled flag after an accept and
+		// reports it inexact. The flag is set before the accept is
+		// returned, so whoever reads the cached accept sees the flag.
 		d.disabled.Store(true)
 		return dfaAccept
 	}

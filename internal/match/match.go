@@ -306,7 +306,7 @@ func (s *Scan) FindAll(id int, yield func(idx []int) bool) {
 			continue
 		}
 		tried = c
-		if !p.d.accepts(text, c) {
+		if ok, _ := p.d.accepts(text, c); !ok {
 			continue
 		}
 		idx := s.probe(p, c)
@@ -324,7 +324,9 @@ func (s *Scan) FindAll(id int, yield func(idx []int) bool) {
 }
 
 // Match reports whether pattern id matches anywhere in the text, like
-// Oracle(id).MatchString.
+// Oracle(id).MatchString. Only existence is asked, so an exact DFA
+// verdict settles a candidate; the probe runs only where the DFA could
+// not decide.
 func (s *Scan) Match(id int) bool {
 	p := s.e.pats[id]
 	if p.mode == modeFallback {
@@ -332,10 +334,8 @@ func (s *Scan) Match(id int) bool {
 	}
 	for _, cd := range s.prepare(id) {
 		c := int(cd.at)
-		if !p.d.accepts(s.text, c) {
-			continue
-		}
-		if s.probeEnd(p, c) >= 0 {
+		ok, exact := p.d.accepts(s.text, c)
+		if ok && (exact || s.probeEnd(p, c) >= 0) {
 			return true
 		}
 	}
@@ -361,7 +361,7 @@ func (s *Scan) Count(id, max int) int {
 			continue
 		}
 		tried = c
-		if !p.d.accepts(text, c) {
+		if ok, _ := p.d.accepts(text, c); !ok {
 			continue
 		}
 		end := s.probeEnd(p, c)
