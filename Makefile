@@ -69,6 +69,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzTypestateLattice -fuzztime=$(FUZZTIME) ./internal/lint/cfg/
 	$(GO) test -fuzz=FuzzSMTPDSession -fuzztime=$(FUZZTIME) ./internal/smtpd/
 	$(GO) test -fuzz=FuzzGenerate -fuzztime=$(FUZZTIME) ./internal/typogen/
+	$(GO) test -fuzz=FuzzFrameScan -fuzztime=$(FUZZTIME) ./internal/framelog/
 
 # chaos runs the end-to-end fault-injection soak (chaos_test.go) under
 # the race detector once per seed. Every failure is replayable: re-run

@@ -1,28 +1,27 @@
 package core
 
 import (
-	"bufio"
+	"cmp"
 	"crypto/aes"
 	"crypto/cipher"
 	"crypto/rand"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
+	"time"
 
+	"repro/internal/framelog"
 	"repro/internal/mailmsg"
 	"repro/internal/spamfilter"
 )
 
 // pendEmail is one scheduled typo-candidate email waiting for its
-// landing day, carrying the metadata the materialized path keeps in
-// side maps (typoMeta, contaminant) — a spilled email loses pointer
-// identity, so the metadata must travel with it. Once the email has
-// been decided as a layer 1–4 survivor it also carries that verdict
-// and its Layer 5 keys into the survivor log.
+// landing day, with the metadata that must travel with it once a spill
+// loses its pointer identity; a layer 1–4 survivor also carries its
+// verdict and Layer 5 keys into the survivor log.
 type pendEmail struct {
 	e           *spamfilter.Email
 	di          int // index into Study.Domains
@@ -31,68 +30,142 @@ type pendEmail struct {
 	keys        spamfilter.FreqKeys
 }
 
-// pendDay is one landing day's queue: an in-memory tail plus an
-// optional spill segment holding earlier arrivals. Drain order is
-// file frames first, then the tail — exactly append order.
-type pendDay struct {
-	mem      []pendEmail
-	memBytes int64
-	f        *os.File
-	size     int64 // bytes written to f
+// pendFIFO is a first-in first-out queue of pendEmails: a resident
+// tail plus, once sealed, an append-only file in its spill directory
+// holding earlier entries. Drain order is file frames first, then the
+// tail — exactly append order. Each landing day of the pending queue is
+// one, and so is the survivor log: the streaming run's layer 1–4
+// survivors, each carrying its verdict and Layer 5 keys, held from
+// their Decide until the corpus-wide frequency tables are complete.
+//
+// pendFIFO shares the vault lifecycle protocol: add/seal/drain only
+// while open, close idempotent.
+type pendFIFO struct {
+	sp       *spillDir // nil keeps every entry resident
+	name     string
+	log      *framelog.Log // nil until the first seal
 	frames   int
+	mem      []pendEmail
+	memBytes int64 // estimated resident footprint of mem
 }
 
-// pendQueue holds scheduled future-day traffic for the streaming run.
-// When the resident estimate crosses the budget, whole days are spilled
-// to segment files — encrypted with an ephemeral in-process key, so the
-// §4.1 rule that no raw collected content rests on disk holds for the
-// working set too: after a crash the spill segments are noise, and a
-// clean run removes them as each day drains.
+// add appends pe to the resident tail and returns its estimated size.
+func (f *pendFIFO) add(pe pendEmail) int64 {
+	sz := estBytes(pe.e)
+	f.mem = append(f.mem, pe)
+	f.memBytes += sz
+	return sz
+}
+
+// seal moves the resident tail to the end of the file, if f spills.
+func (f *pendFIFO) seal() error {
+	if f.sp == nil || len(f.mem) == 0 {
+		return nil
+	}
+	if f.log == nil {
+		l, err := framelog.Create(f.sp.fsys, filepath.Join(f.sp.dir, f.name), nil)
+		if err != nil {
+			return fmt.Errorf("core: spill: %w", err)
+		}
+		f.log = l
+	}
+	if _, err := f.log.Append(f.sp.seal(f.mem)); err != nil {
+		return fmt.Errorf("core: spill write: %w", err)
+	}
+	f.frames += len(f.mem)
+	clear(f.mem) // the sealed emails must not stay reachable
+	f.mem, f.memBytes = f.mem[:0], 0
+	return nil
+}
+
+// drain hands every entry to fn in append order, then closes f.
+func (f *pendFIFO) drain(fn func(pe *pendEmail) error) error {
+	defer f.close()
+	if f.log != nil {
+		fr := f.log.Frames()
+		for i := 0; i < f.frames; i++ {
+			typ, payload, err := fr.Next()
+			if err != nil {
+				return fmt.Errorf("core: spill read: %w", err)
+			}
+			pe, err := f.sp.open(typ, payload)
+			if err != nil {
+				return err
+			}
+			if err := fn(&pe); err != nil {
+				return err
+			}
+		}
+	}
+	for i := range f.mem {
+		if err := fn(&f.mem[i]); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// close removes the file and drops the resident entries. The spill is
+// scratch: a file that will not go is left behind, not reported.
+func (f *pendFIFO) close() {
+	if f.log != nil {
+		_ = f.log.Remove()
+		f.log, f.frames = nil, 0
+	}
+	f.mem, f.memBytes = nil, 0
+}
+
+// pendQueue holds scheduled future-day traffic for the streaming run,
+// one pendFIFO per landing day. When the resident estimate crosses the
+// budget, whole days are sealed to spill files under an ephemeral
+// in-process key, so the §4.1 rule that no raw collected content rests
+// on disk holds for the working set too: after a crash the spill files
+// are noise, and a clean run removes them as each day drains.
 //
 // pendQueue shares the vault lifecycle protocol: add/take/drop/spill
-// only while open, close idempotent — vaultstate tracks it alongside
-// the vault.Store implementations.
+// only while open, close idempotent.
 type pendQueue struct {
-	dir     string // "" disables spilling
-	prefix  string
-	budget  int64
-	fc      *frameCipher
-	days    map[int]*pendDay
-	mem     int64
-	spills  int // spill events (for tests/ops)
-	spilled int // emails currently on disk
+	sp     *spillDir // nil disables spilling
+	budget int64
+	days   map[int]*pendFIFO
+	mem    int64
 }
 
-// newPendQueue builds a queue spilling into dir (after the budget) or a
-// purely in-memory one when dir is empty.
-func newPendQueue(dir, prefix string, budget int64) (*pendQueue, error) {
-	q := &pendQueue{dir: dir, prefix: prefix, budget: budget, days: make(map[int]*pendDay)}
-	if dir == "" {
-		return q, nil
-	}
+// newPendQueue builds a queue spilling into sp past the budget (default
+// 64 MiB), or a purely in-memory one when sp is nil.
+func newPendQueue(sp *spillDir, budget int64) *pendQueue {
 	if budget <= 0 {
-		q.budget = 64 << 20
+		budget = 64 << 20
 	}
-	var err error
-	if q.fc, err = newFrameCipher(dir); err != nil {
-		return nil, err
-	}
-	return q, nil
+	return &pendQueue{sp: sp, budget: budget, days: make(map[int]*pendFIFO)}
 }
 
-// frameCipher seals pendEmails into spill frames, [nonce][len][ciphertext],
-// and opens them again. The AES-256-GCM key is drawn fresh from the OS
-// and never leaves the process; nonces count up, so no two frames under
-// one key share one.
-type frameCipher struct {
+// spillFrame is the framelog type of a sealed pendEmail; its payload
+// is nonce‖ciphertext.
+const spillFrame = 'S'
+
+var errBadSpill = errors.New("core: malformed spill frame")
+
+// spillDir is a directory of spill files and the cipher that seals
+// their frames. The AES-256-GCM key is drawn fresh from the OS and
+// never leaves the process; nonces count up, so no two frames under one
+// key share one.
+type spillDir struct {
+	fsys  framelog.FS
+	dir   string
 	aead  cipher.AEAD
 	next  uint64
 	nonce []byte // scratch: the nonce being sealed with
-	plain []byte // scratch: the frame being sealed, in the clear
+	plain []byte // scratch: the entry being sealed, in the clear
+	out   []byte // scratch: one seal's frames
 }
 
-// newFrameCipher creates the spill directory and a cipher for it.
-func newFrameCipher(dir string) (*frameCipher, error) {
+// newSpillDir creates dir and a cipher for it; with dir empty it
+// returns nil, which spills nothing.
+func newSpillDir(fsys framelog.FS, dir string) (*spillDir, error) {
+	if dir == "" {
+		return nil, nil
+	}
 	if err := os.MkdirAll(dir, 0o700); err != nil {
 		return nil, fmt.Errorf("core: spill dir: %w", err)
 	}
@@ -108,58 +181,31 @@ func newFrameCipher(dir string) (*frameCipher, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: spill gcm: %w", err)
 	}
-	return &frameCipher{aead: aead, nonce: make([]byte, aead.NonceSize())}, nil
+	return &spillDir{fsys: fsys, dir: dir, aead: aead, nonce: make([]byte, aead.NonceSize())}, nil
 }
 
-// seal appends pe's frame to dst.
-func (c *frameCipher) seal(dst []byte, pe *pendEmail) []byte {
-	c.plain = encodePendEmail(c.plain[:0], pe)
-	binary.BigEndian.PutUint64(c.nonce[len(c.nonce)-8:], c.next)
-	c.next++
-	dst = append(dst, c.nonce...)
-	dst = binary.BigEndian.AppendUint32(dst, uint32(len(c.plain)+c.aead.Overhead()))
-	return c.aead.Seal(dst, c.nonce, c.plain, nil)
+// seal frames and encrypts pes, one frame each; the bytes are valid
+// until the next call.
+func (c *spillDir) seal(pes []pendEmail) []byte {
+	c.out = c.out[:0]
+	for i := range pes {
+		c.plain = encodePendEmail(c.plain[:0], &pes[i])
+		binary.BigEndian.PutUint64(c.nonce[len(c.nonce)-8:], c.next)
+		c.next++
+		c.out = framelog.AppendHeader(c.out, spillFrame, len(c.nonce)+len(c.plain)+c.aead.Overhead())
+		c.out = append(c.out, c.nonce...)
+		c.out = c.aead.Seal(c.out, c.nonce, c.plain, nil)
+	}
+	return c.out
 }
 
-// frameReader opens the frames of one spill file in order, holding one
-// frame at a time.
-type frameReader struct {
-	c    *frameCipher
-	r    *bufio.Reader
-	left int64 // bytes of the file not yet read
-	buf  []byte
-}
-
-// reader reads the size bytes of f that hold sealed frames.
-func (c *frameCipher) reader(f *os.File, size int64) *frameReader {
-	return &frameReader{c: c, r: bufio.NewReader(io.NewSectionReader(f, 0, size)), left: size}
-}
-
-// errTornFrame reports a frame cut short, by a truncated file or a
-// length running past the end.
-var errTornFrame = errors.New("core: torn spill frame")
-
-// next opens the next frame.
-func (fr *frameReader) next() (pendEmail, error) {
-	hdr := int64(fr.c.aead.NonceSize() + 4)
-	if fr.left < hdr {
-		return pendEmail{}, errTornFrame
+// open decrypts one spill frame's payload in place and decodes it.
+func (c *spillDir) open(typ byte, payload []byte) (pendEmail, error) {
+	ns := c.aead.NonceSize()
+	if typ != spillFrame || len(payload) < ns {
+		return pendEmail{}, errBadSpill
 	}
-	fr.buf = append(fr.buf[:0], make([]byte, hdr)...)
-	if _, err := io.ReadFull(fr.r, fr.buf); err != nil {
-		return pendEmail{}, errTornFrame
-	}
-	n := int64(binary.BigEndian.Uint32(fr.buf[hdr-4:]))
-	if n > fr.left-hdr {
-		return pendEmail{}, errTornFrame
-	}
-	fr.left -= hdr + n
-	fr.buf = append(fr.buf, make([]byte, n)...)
-	ct := fr.buf[hdr:]
-	if _, err := io.ReadFull(fr.r, ct); err != nil {
-		return pendEmail{}, errTornFrame
-	}
-	plain, err := fr.c.aead.Open(ct[:0], fr.buf[:hdr-4], ct, nil)
+	plain, err := c.aead.Open(payload[ns:ns], payload[:ns], payload[ns:], nil)
 	if err != nil {
 		return pendEmail{}, fmt.Errorf("core: spill frame: %w", err)
 	}
@@ -179,21 +225,18 @@ func estBytes(e *spamfilter.Email) int64 {
 func (q *pendQueue) add(day int, pe pendEmail) error {
 	d := q.days[day]
 	if d == nil {
-		d = &pendDay{}
+		d = &pendFIFO{sp: q.sp, name: fmt.Sprintf("pending-day%05d.spill", day)}
 		q.days[day] = d
 	}
-	sz := estBytes(pe.e)
-	d.mem = append(d.mem, pe)
-	d.memBytes += sz
-	q.mem += sz
-	if q.fc != nil && q.mem > q.budget {
+	q.mem += d.add(pe)
+	if q.sp != nil && q.mem > q.budget {
 		return q.spill()
 	}
 	return nil
 }
 
-// spill writes the heaviest days out until the resident estimate is
-// halved, so one breach doesn't cause a spill per subsequent add.
+// spill seals the heaviest days until the resident estimate is halved,
+// so one breach doesn't cause a spill per subsequent add.
 func (q *pendQueue) spill() error {
 	type cand struct {
 		day int
@@ -205,108 +248,53 @@ func (q *pendQueue) spill() error {
 			cands = append(cands, cand{day, d.memBytes})
 		}
 	}
-	sort.Slice(cands, func(i, j int) bool {
-		if cands[i].sz != cands[j].sz {
-			return cands[i].sz > cands[j].sz
-		}
-		return cands[i].day > cands[j].day
+	slices.SortFunc(cands, func(a, b cand) int { // heaviest first, later day on a tie
+		return cmp.Or(cmp.Compare(b.sz, a.sz), cmp.Compare(b.day, a.day))
 	})
 	for _, c := range cands {
 		if q.mem <= q.budget/2 {
 			break
 		}
-		if err := q.spillDay(c.day); err != nil {
+		if err := q.days[c.day].seal(); err != nil {
 			return err
 		}
+		q.mem -= c.sz
 	}
-	q.spills++
 	return nil
 }
 
-func (q *pendQueue) path(day int) string {
-	return filepath.Join(q.dir, fmt.Sprintf("%s-day%05d.spill", q.prefix, day))
-}
-
-// spillDay seals the day's in-memory tail into its segment file.
-func (q *pendQueue) spillDay(day int) error {
-	d := q.days[day]
-	if d.f == nil {
-		f, err := os.OpenFile(q.path(day), os.O_RDWR|os.O_CREATE|os.O_EXCL, 0o600)
-		if err != nil {
-			return fmt.Errorf("core: spill segment: %w", err)
-		}
-		d.f = f
-	}
-	var buf []byte
-	for i := range d.mem {
-		buf = q.fc.seal(buf, &d.mem[i])
-	}
-	if _, err := d.f.WriteAt(buf, d.size); err != nil {
-		return fmt.Errorf("core: spill write: %w", err)
-	}
-	d.size += int64(len(buf))
-	d.frames += len(d.mem)
-	q.spilled += len(d.mem)
-	q.mem -= d.memBytes
-	d.mem, d.memBytes = nil, 0
-	return nil
-}
-
-// take removes and returns the day's queue in append order: spilled
-// frames first (they were appended first), then the resident tail. The
-// spill segment is deleted once read back.
+// take removes and returns the day's queue in append order; its spill
+// file is deleted once read back.
 func (q *pendQueue) take(day int) ([]pendEmail, error) {
 	d := q.days[day]
 	if d == nil {
 		return nil, nil
 	}
 	out := make([]pendEmail, 0, d.frames+len(d.mem))
-	if d.f != nil {
-		fr := q.fc.reader(d.f, d.size)
-		for i := 0; i < d.frames; i++ {
-			pe, err := fr.next()
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, pe)
-		}
-		q.spilled -= d.frames
-		q.removeFile(day, d)
-	}
-	out = append(out, d.mem...)
 	q.mem -= d.memBytes
 	delete(q.days, day)
-	return out, nil
+	err := d.drain(func(pe *pendEmail) error {
+		out = append(out, *pe)
+		return nil
+	})
+	return out, err
 }
 
 // drop discards a day (outage: the downed infrastructure recorded
-// nothing), removing any spill segment unread.
+// nothing), removing any spill file unread.
 func (q *pendQueue) drop(day int) {
-	d := q.days[day]
-	if d == nil {
-		return
+	if d := q.days[day]; d != nil {
+		q.mem -= d.memBytes
+		d.close()
+		delete(q.days, day)
 	}
-	if d.f != nil {
-		q.spilled -= d.frames
-		q.removeFile(day, d)
-	}
-	q.mem -= d.memBytes
-	delete(q.days, day)
 }
 
-func (q *pendQueue) removeFile(day int, d *pendDay) {
-	d.f.Close()
-	os.Remove(q.path(day))
-	d.f, d.size, d.frames = nil, 0, 0
-}
-
-// close releases any remaining spill segments (normal runs drain every
+// close releases any remaining spill files (normal runs drain every
 // day, so this only matters on early error returns).
 func (q *pendQueue) close() {
-	for day, d := range q.days {
-		if d.f != nil {
-			q.removeFile(day, d)
-		}
+	for _, d := range q.days {
+		d.close()
 	}
 	q.days = nil
 }
@@ -323,18 +311,17 @@ func encodePendEmail(dst []byte, pe *pendEmail) []byte {
 	dst = binary.BigEndian.AppendUint64(dst, uint64(pe.keys.Rcpt))
 	dst = binary.BigEndian.AppendUint64(dst, uint64(pe.keys.Sender))
 	dst = binary.BigEndian.AppendUint64(dst, uint64(pe.keys.Content))
-	dst = appendSpillString(dst, pe.e.ServerDomain)
-	dst = appendSpillString(dst, pe.e.RcptAddr)
-	dst = appendSpillString(dst, pe.e.SenderAddr)
+	dst = framelog.AppendField(dst, pe.e.ServerDomain)
+	dst = framelog.AppendField(dst, pe.e.RcptAddr)
+	dst = framelog.AppendField(dst, pe.e.SenderAddr)
 	dst = binary.BigEndian.AppendUint64(dst, uint64(pe.e.Received.UnixNano()))
 	return pe.e.Msg.AppendWire(dst)
 }
 
 func decodePendEmail(b []byte) (pendEmail, error) {
 	var pe pendEmail
-	bad := fmt.Errorf("core: malformed spill frame")
 	if len(b) < pendFixedBytes {
-		return pe, bad
+		return pe, errBadSpill
 	}
 	pe.di = int(binary.BigEndian.Uint32(b))
 	e := &spamfilter.Email{}
@@ -345,26 +332,24 @@ func decodePendEmail(b []byte) (pendEmail, error) {
 	pe.keys.Sender = spamfilter.FreqKey(binary.BigEndian.Uint64(b[18:]))
 	pe.keys.Content = spamfilter.FreqKey(binary.BigEndian.Uint64(b[26:]))
 	b = b[pendFixedBytes:]
-	var err error
-	if e.ServerDomain, b, err = cutSpillString(b); err != nil {
-		return pe, err
-	}
-	if e.RcptAddr, b, err = cutSpillString(b); err != nil {
-		return pe, err
-	}
-	if e.SenderAddr, b, err = cutSpillString(b); err != nil {
-		return pe, err
+	for _, field := range []*string{&e.ServerDomain, &e.RcptAddr, &e.SenderAddr} {
+		var v []byte
+		var err error
+		if v, b, err = framelog.CutField(b); err != nil {
+			return pe, errBadSpill
+		}
+		*field = string(v)
 	}
 	if len(b) < 8 {
-		return pe, bad
+		return pe, errBadSpill
 	}
-	e.Received = timeFromUnixNano(int64(binary.BigEndian.Uint64(b)))
+	e.Received = time.Unix(0, int64(binary.BigEndian.Uint64(b))).UTC()
 	msg, rest, err := mailmsg.DecodeWire(b[8:])
 	if err != nil {
 		return pe, err
 	}
 	if len(rest) != 0 {
-		return pe, bad
+		return pe, errBadSpill
 	}
 	e.Msg = msg
 	return pe, nil
@@ -375,119 +360,4 @@ func boolByte(b bool) byte {
 		return 1
 	}
 	return 0
-}
-
-func appendSpillString(dst []byte, s string) []byte {
-	dst = binary.BigEndian.AppendUint32(dst, uint32(len(s)))
-	return append(dst, s...)
-}
-
-func cutSpillString(b []byte) (string, []byte, error) {
-	if len(b) < 4 {
-		return "", nil, fmt.Errorf("core: malformed spill frame")
-	}
-	n := int(binary.BigEndian.Uint32(b))
-	if n > 64<<20 || len(b) < 4+n {
-		return "", nil, fmt.Errorf("core: malformed spill frame")
-	}
-	return string(b[4 : 4+n]), b[4+n:], nil
-}
-
-// survivorLog is the streaming run's FIFO of layer 1–4 survivors, each
-// carrying its verdict and Layer 5 keys, held from its Decide until the
-// corpus-wide frequency tables are complete. With a spill directory,
-// seal moves the resident entries to the end of one append-only file,
-// framed and encrypted like the pending queue's segments, and drain
-// reads the file back one frame at a time ahead of the resident tail;
-// without one, every entry stays resident.
-//
-// survivorLog shares the vault lifecycle protocol: add/seal/drain only
-// while open, close idempotent.
-type survivorLog struct {
-	path   string
-	fc     *frameCipher // nil keeps every entry resident
-	f      *os.File
-	size   int64 // bytes sealed into f
-	frames int
-	mem    []pendEmail
-	buf    []byte // scratch: one seal's frames
-}
-
-// newSurvivorLog builds a log sealing into dir/survivors.spill, or a
-// purely in-memory one when dir is empty.
-func newSurvivorLog(dir string) (*survivorLog, error) {
-	l := &survivorLog{}
-	if dir == "" {
-		return l, nil
-	}
-	var err error
-	if l.fc, err = newFrameCipher(dir); err != nil {
-		return nil, err
-	}
-	l.path = filepath.Join(dir, "survivors.spill")
-	return l, nil
-}
-
-// add appends one survivor to the resident tail.
-func (l *survivorLog) add(pe pendEmail) { l.mem = append(l.mem, pe) }
-
-// seal appends the resident tail to the log file, when there is one.
-func (l *survivorLog) seal() error {
-	if l.fc == nil || len(l.mem) == 0 {
-		return nil
-	}
-	if l.f == nil {
-		f, err := os.OpenFile(l.path, os.O_RDWR|os.O_CREATE|os.O_EXCL, 0o600)
-		if err != nil {
-			return fmt.Errorf("core: survivor log: %w", err)
-		}
-		l.f = f
-	}
-	buf := l.buf[:0]
-	for i := range l.mem {
-		buf = l.fc.seal(buf, &l.mem[i])
-	}
-	if _, err := l.f.WriteAt(buf, l.size); err != nil {
-		return fmt.Errorf("core: survivor log write: %w", err)
-	}
-	l.size += int64(len(buf))
-	l.frames += len(l.mem)
-	clear(l.mem) // the sealed emails must not stay reachable
-	l.mem, l.buf = l.mem[:0], buf[:0]
-	return nil
-}
-
-// drain hands every entry to fn in the order it was added, then closes
-// the log.
-func (l *survivorLog) drain(fn func(pe *pendEmail) error) error {
-	if l.f != nil {
-		fr := l.fc.reader(l.f, l.size)
-		for i := 0; i < l.frames; i++ {
-			pe, err := fr.next()
-			if err != nil {
-				return err
-			}
-			if err := fn(&pe); err != nil {
-				return err
-			}
-		}
-	}
-	for i := range l.mem {
-		if err := fn(&l.mem[i]); err != nil {
-			return err
-		}
-	}
-	l.close()
-	return nil
-}
-
-// close removes the log file and drops the resident entries; after an
-// early error return it releases whatever the log still holds.
-func (l *survivorLog) close() {
-	if l.f != nil {
-		l.f.Close()
-		os.Remove(l.path)
-		l.f, l.size, l.frames = nil, 0, 0
-	}
-	l.mem = nil
 }

@@ -10,10 +10,6 @@ import (
 	"repro/internal/spamfilter"
 )
 
-// timeFromUnixNano restores a Received timestamp from its spill wire
-// form; instants survive the round trip exactly.
-func timeFromUnixNano(ns int64) time.Time { return time.Unix(0, ns).UTC() }
-
 // streamChunks drives Run's pass over the collection: generate
 // StreamChunkDays-sized chunks of units on the par pool (par.MapAt keeps
 // each unit on the same PRNG sub-stream as the unchunked par.Map), merge
@@ -36,10 +32,11 @@ func timeFromUnixNano(ns int64) time.Time { return time.Unix(0, ns).UTC() }
 func (s *Study) streamChunks(rates []typoRates, samples, traffic *spamfilter.Classifier,
 	onUnit func(u genUnit, out *unitResult),
 	onDay func(emails []pendEmail, prep []spamfilter.Prepared) error) error {
-	q, err := newPendQueue(s.Cfg.SpillDir, "pending", s.Cfg.SpillBudgetBytes)
+	sp, err := newSpillDir(s.spillFS, s.Cfg.SpillDir)
 	if err != nil {
 		return err
 	}
+	q := newPendQueue(sp, s.Cfg.SpillBudgetBytes)
 	defer q.close()
 	start := simclock.CollectionStart
 	chunkDays := s.Cfg.StreamChunkDays

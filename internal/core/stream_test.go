@@ -1,12 +1,14 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
 	"time"
 
+	"repro/internal/framelog"
 	"repro/internal/mailmsg"
 	"repro/internal/par"
 	"repro/internal/spamfilter"
@@ -122,14 +124,22 @@ func pendTestEmail(day int, body string) *spamfilter.Email {
 	}
 }
 
+// testSpillDir is a spill directory at dir on the real file system; an
+// empty dir spills nothing.
+func testSpillDir(t *testing.T, dir string) *spillDir {
+	t.Helper()
+	sp, err := newSpillDir(framelog.OS, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sp
+}
+
 // TestPendQueueSpillRoundTrip drives the spill queue past its budget and
 // checks drain order, metadata fidelity, and on-disk hygiene.
 func TestPendQueueSpillRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	q, err := newPendQueue(dir, "t", 4096)
-	if err != nil {
-		t.Fatal(err)
-	}
+	q := newPendQueue(testSpillDir(t, dir), 4096)
 	defer q.close()
 
 	const perDay = 10
@@ -145,12 +155,9 @@ func TestPendQueueSpillRoundTrip(t *testing.T) {
 			}
 		}
 	}
-	if q.spills == 0 {
-		t.Fatal("budget never triggered a spill")
-	}
 	segs, _ := filepath.Glob(filepath.Join(dir, "*.spill"))
 	if len(segs) == 0 {
-		t.Fatal("no spill segments on disk")
+		t.Fatal("budget never triggered a spill: no spill files on disk")
 	}
 	// Spilled bytes must be ciphertext: the bodies are absent from disk.
 	for _, seg := range segs {
@@ -187,18 +194,15 @@ func TestPendQueueSpillRoundTrip(t *testing.T) {
 	if left, _ := filepath.Glob(filepath.Join(dir, "*.spill")); len(left) != 0 {
 		t.Fatalf("spill segments left after drain: %v", left)
 	}
-	if q.mem != 0 || q.spilled != 0 {
-		t.Fatalf("queue accounting nonzero after drain: mem=%d spilled=%d", q.mem, q.spilled)
+	if q.mem != 0 || len(q.days) != 0 {
+		t.Fatalf("queue accounting nonzero after drain: mem=%d days=%d", q.mem, len(q.days))
 	}
 }
 
 // TestPendQueueDrop checks outage-day drops delete spill segments unread.
 func TestPendQueueDrop(t *testing.T) {
 	dir := t.TempDir()
-	q, err := newPendQueue(dir, "t", 1) // spill on every add
-	if err != nil {
-		t.Fatal(err)
-	}
+	q := newPendQueue(testSpillDir(t, dir), 1) // spill on every add
 	defer q.close()
 	for i := 0; i < 5; i++ {
 		if err := q.add(2, pendEmail{e: pendTestEmail(2, "to be dropped")}); err != nil {
@@ -254,13 +258,13 @@ func TestPendEmailCodecRoundTrip(t *testing.T) {
 	}
 }
 
-// TestSurvivorLog checks the survivor log's contract: entries drain in
+// TestSurvivorLog checks the survivor log's pendFIFO contract: entries drain in
 // the order added across sealed and resident ones, sealed bytes are
 // ciphertext, a torn frame is an error, and no spill file outlives a
 // drain or a close.
 func TestSurvivorLog(t *testing.T) {
 	body := func(i int) string { return fmt.Sprintf("survivor %d padding padding padding", i) }
-	fill := func(t *testing.T, l *survivorLog, n int, sealEvery int) {
+	fill := func(t *testing.T, l *pendFIFO, n int, sealEvery int) {
 		t.Helper()
 		for i := 0; i < n; i++ {
 			l.add(pendEmail{e: pendTestEmail(i%5, body(i)), di: i, verdict: spamfilter.VerdictReceiverTypo,
@@ -287,10 +291,7 @@ func TestSurvivorLog(t *testing.T) {
 			if tc.spill {
 				logDir = dir
 			}
-			l, err := newSurvivorLog(logDir)
-			if err != nil {
-				t.Fatal(err)
-			}
+			l := &pendFIFO{sp: testSpillDir(t, logDir), name: "survivors.spill"}
 			defer l.close()
 			const n = 23 // seals at 7, 14, 21; the last two stay resident
 			fill(t, l, n, 7)
@@ -306,11 +307,11 @@ func TestSurvivorLog(t *testing.T) {
 				if containsSub(raw, []byte("padding")) {
 					t.Fatal("plaintext body found in the survivor log")
 				}
-			} else if l.f != nil || len(l.mem) != n {
-				t.Fatalf("resident log: file %v, %d resident; want none, %d", l.f, len(l.mem), n)
+			} else if l.log != nil || len(l.mem) != n {
+				t.Fatalf("resident log: file %v, %d resident; want none, %d", l.log, len(l.mem), n)
 			}
 			i := 0
-			err = l.drain(func(pe *pendEmail) error {
+			err := l.drain(func(pe *pendEmail) error {
 				if pe.e.Msg.Body != body(i) || pe.di != i || pe.verdict != spamfilter.VerdictReceiverTypo ||
 					pe.keys != (spamfilter.FreqKeys{Rcpt: spamfilter.FreqKey(i), Content: spamfilter.FreqKey(3 * i)}) {
 					t.Fatalf("entry %d: got body %q di %d verdict %v keys %+v", i, pe.e.Msg.Body, pe.di, pe.verdict, pe.keys)
@@ -332,17 +333,14 @@ func TestSurvivorLog(t *testing.T) {
 
 	t.Run("torn", func(t *testing.T) {
 		dir := t.TempDir()
-		l, err := newSurvivorLog(dir)
-		if err != nil {
-			t.Fatal(err)
-		}
+		l := &pendFIFO{sp: testSpillDir(t, dir), name: "survivors.spill"}
 		defer l.close()
 		fill(t, l, 4, 4)
-		if err := os.Truncate(l.path, l.size-3); err != nil {
+		if err := os.Truncate(filepath.Join(dir, l.name), l.log.Size()-3); err != nil {
 			t.Fatal(err)
 		}
 		drained := 0
-		err = l.drain(func(*pendEmail) error { drained++; return nil })
+		err := l.drain(func(*pendEmail) error { drained++; return nil })
 		if err == nil {
 			t.Fatal("draining a truncated log returned no error")
 		}
@@ -370,4 +368,65 @@ func containsSub(b, sub []byte) bool {
 		}
 	}
 	return false
+}
+
+var errSpillFault = errors.New("injected spill write fault")
+
+// spillFaultFS is the real file system whose k-th write lands half its
+// bytes and fails; with k = 0 it only counts the writes.
+type spillFaultFS struct{ k, n int }
+
+func (fs *spillFaultFS) OpenFile(name string, flag int, perm os.FileMode) (framelog.File, error) {
+	f, err := os.OpenFile(name, flag, perm)
+	if err != nil {
+		return nil, err
+	}
+	return &spillFaultFile{f, fs}, nil
+}
+
+func (fs *spillFaultFS) Remove(name string) error { return os.Remove(name) }
+
+type spillFaultFile struct {
+	*os.File
+	fs *spillFaultFS
+}
+
+func (f *spillFaultFile) WriteAt(p []byte, off int64) (int, error) {
+	if f.fs.n++; f.fs.n == f.fs.k {
+		n, _ := f.File.WriteAt(p[:len(p)/2], off)
+		return n, errSpillFault
+	}
+	return f.File.WriteAt(p, off)
+}
+
+// TestSpillWriteFailure fails each spill write of a run in turn — the
+// pending queue's day files and the survivor log alike: Run must return
+// the error, and no spill file may outlive it.
+func TestSpillWriteFailure(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Days = 16
+	cfg.StreamChunkDays = 4
+	cfg.SpillBudgetBytes = 1 << 15
+	run := func(fs *spillFaultFS) (error, []string) {
+		t.Helper()
+		cfg.SpillDir = t.TempDir()
+		s, err := NewStudy(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.spillFS = fs
+		_, err = s.Run()
+		left, _ := filepath.Glob(filepath.Join(cfg.SpillDir, "*.spill"))
+		return err, left
+	}
+	clean := &spillFaultFS{}
+	if err, left := run(clean); err != nil || len(left) != 0 {
+		t.Fatalf("fault-free run: %v, spill files left: %v", err, left)
+	}
+	t.Logf("%d spill writes", clean.n)
+	for k := 1; k <= clean.n; k++ {
+		if err, left := run(&spillFaultFS{k: k}); !errors.Is(err, errSpillFault) || len(left) != 0 {
+			t.Fatalf("write %d of %d failed: Run returned %v, spill files left: %v", k, clean.n, err, left)
+		}
+	}
 }

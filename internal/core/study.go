@@ -11,6 +11,7 @@ import (
 	"repro/internal/alexa"
 	"repro/internal/corpus"
 	"repro/internal/extract"
+	"repro/internal/framelog"
 	"repro/internal/mailmsg"
 	"repro/internal/sanitize"
 	"repro/internal/simclock"
@@ -80,6 +81,9 @@ type Study struct {
 	Domains   []StudyDomain
 	Sanitizer *sanitize.Sanitizer
 	Vault     vault.Store
+
+	// File operations for the spill; tests substitute ones that fail.
+	spillFS framelog.FS
 }
 
 // NewStudy assembles a study over the 76-domain registration.
@@ -108,6 +112,7 @@ func NewStudy(cfg Config) (*Study, error) {
 		Domains:   AllStudyDomains(),
 		Sanitizer: sanitize.New("salt-on-removable-storage"),
 		Vault:     v,
+		spillFS:   framelog.OS,
 	}, nil
 }
 
@@ -434,10 +439,11 @@ func (s *Study) Run() (*Result, error) {
 	start := simclock.CollectionStart
 	res := s.newResult(start)
 
-	survivors, err := newSurvivorLog(s.Cfg.SpillDir)
+	sp, err := newSpillDir(s.spillFS, s.Cfg.SpillDir)
 	if err != nil {
 		return nil, err
 	}
+	survivors := &pendFIFO{sp: sp, name: "survivors.spill"}
 	defer survivors.close()
 
 	calCls := spamfilter.NewClassifier(spamfilter.Config{

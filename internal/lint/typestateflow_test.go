@@ -25,18 +25,18 @@ func (v *Vault) Close() error                                 { return nil }
 `,
 }
 
-// survivorLogStub is core's survivor log: add, seal and drain are uses,
-// close is idempotent.
-const survivorLogStub = `package core
+// pendFIFOStub is core's spill FIFO, the survivor log among them: add,
+// seal and drain are uses, close is idempotent.
+const pendFIFOStub = `package core
 
-type survivorLog struct{ n int }
+type pendFIFO struct{ n int }
 
-func newSurvivorLog(dir string) (*survivorLog, error) { return &survivorLog{}, nil }
+func newSpillFIFO(dir string) (*pendFIFO, error) { return &pendFIFO{}, nil }
 
-func (l *survivorLog) add(x int)                      { l.n += x }
-func (l *survivorLog) seal() error                    { return nil }
-func (l *survivorLog) drain(fn func(int) error) error { return fn(l.n) }
-func (l *survivorLog) close()                         { l.n = 0 }
+func (l *pendFIFO) add(x int)                      { l.n += x }
+func (l *pendFIFO) seal() error                    { return nil }
+func (l *pendFIFO) drain(fn func(int) error) error { return fn(l.n) }
+func (l *pendFIFO) close()                         { l.n = 0 }
 `
 
 var parTypestateStub = map[string]string{
@@ -282,9 +282,9 @@ func Deferred(key []byte) error {
 			name:     "vaultstate flags a survivor-log seal after close",
 			analyzer: "vaultstate",
 			files: map[string]string{
-				"internal/core/core.go": survivorLogStub + `
+				"internal/core/core.go": pendFIFOStub + `
 func Replay(dir string) error {
-	l, err := newSurvivorLog(dir)
+	l, err := newSpillFIFO(dir)
 	if err != nil {
 		return err
 	}
@@ -294,16 +294,16 @@ func Replay(dir string) error {
 }
 `,
 			},
-			want:  []string{"internal/core/core.go:19: [vaultstate]", "use on core.survivorLog l in state closed"},
+			want:  []string{"internal/core/core.go:19: [vaultstate]", "use on core.pendFIFO l in state closed"},
 			count: 1,
 		},
 		{
 			name:     "vaultstate accepts a drained survivor log closed again by defer",
 			analyzer: "vaultstate",
 			files: map[string]string{
-				"internal/core/core.go": survivorLogStub + `
+				"internal/core/core.go": pendFIFOStub + `
 func Replay(dir string) error {
-	l, err := newSurvivorLog(dir)
+	l, err := newSpillFIFO(dir)
 	if err != nil {
 		return err
 	}

@@ -10,7 +10,7 @@ import (
 // Close on any path, and segment rotation/compaction is only legal
 // from the open state. Tracked objects are vault.Vault, vault.LogVault,
 // values behind the vault.Store interface, and core's pendQueue and
-// survivorLog; the protocol table is vaultProtocol in typestate.go.
+// pendFIFO; the protocol table is vaultProtocol in typestate.go.
 var VaultStateAnalyzer = &Analyzer{
 	Name: "vaultstate",
 	Doc:  "vault/spill-queue used or rotated after Close (vault lifecycle protocol)",
@@ -30,16 +30,14 @@ var vaultEventNames = map[string]string{
 	"Compact":   "rotate",
 	"rotate":    "rotate",
 	"Close":     "close",
-	// core's pendQueue and survivorLog (unexported lifecycles, same
-	// shape)
-	"add":      "use",
-	"take":     "use",
-	"drop":     "use",
-	"spill":    "use",
-	"spillDay": "use",
-	"seal":     "use",
-	"drain":    "use",
-	"close":    "close",
+	// core's pendQueue and pendFIFO (unexported lifecycles, same shape)
+	"add":   "use",
+	"take":  "use",
+	"drop":  "use",
+	"spill": "use",
+	"seal":  "use",
+	"drain": "use",
+	"close": "close",
 }
 
 func runVaultState(pass *Pass) {
@@ -58,7 +56,7 @@ func vaultTrackedType(pass *Pass, pkgPath, typeName string) bool {
 	case "internal/vault":
 		return typeName == "Vault" || typeName == "LogVault" || typeName == "Store"
 	case "internal/core":
-		return typeName == "pendQueue" || typeName == "survivorLog"
+		return typeName == "pendQueue" || typeName == "pendFIFO"
 	}
 	return false
 }

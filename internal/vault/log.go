@@ -1,24 +1,25 @@
 // The log-structured on-disk backend: append-only segment files of
-// length-prefixed encrypted records, sharded per domain, with inline
-// compaction and Export/Restore snapshots. It keeps the package's §4.1
-// contract intact — plaintext never touches disk (records are sealed
-// with the same AES-256-GCM + AAD construction as the in-memory Vault),
+// framed encrypted records (internal/framelog), sharded per domain, with
+// inline compaction and Export/Restore snapshots. Plaintext never
+// touches disk (records are sealed exactly as in the in-memory Vault),
 // and Close models unmounting the removable key: the AEAD becomes
-// unreachable, the segment handles are released, and only clear
-// metadata stays readable.
+// unreachable and only clear metadata stays readable.
+//
+// Durability: an acknowledged Put is a whole frame in the file before
+// Put returns, so it survives a process crash; it survives power loss
+// once the next rotation, Compact or Close returns, each of which syncs
+// what it finished and then the directory. A Put that returns an error
+// stored nothing: a full segment rotates before the append, not after.
 //
 // Determinism: given the same key, nonce source and call sequence, a
 // LogVault assigns the same IDs and produces an Export stream
-// byte-identical to the in-memory Vault's — the property the
-// differential-oracle tests pin. Compaction is synchronous and happens
-// inline on the calling goroutine (at segment rotation, or via
-// Compact), never on a background goroutine: a concurrent compactor
-// would make segment layout depend on scheduling, and the repository's
-// replay-from-seed contract forbids that.
+// byte-identical to the in-memory Vault's. Compaction runs inline on
+// the calling goroutine, never in the background, so segment layout
+// never depends on scheduling.
 package vault
 
 import (
-	"crypto/aes"
+	"bytes"
 	"crypto/cipher"
 	"crypto/rand"
 	"encoding/binary"
@@ -26,11 +27,11 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"sort"
-	"strconv"
-	"strings"
+	"slices"
 	"sync"
 	"time"
+
+	"repro/internal/framelog"
 )
 
 // LogOptions tunes the segment backend. The zero value gets sensible
@@ -43,9 +44,6 @@ type LogOptions struct {
 	// MaxSegmentBytes rotates a shard's active segment once it grows
 	// past this size (default 4 MiB).
 	MaxSegmentBytes int64
-	// CompactFraction triggers compaction at rotation when the shard's
-	// dead bytes exceed this fraction of its total bytes (default 0.5).
-	CompactFraction float64
 }
 
 func (o LogOptions) withDefaults() LogOptions {
@@ -55,25 +53,20 @@ func (o LogOptions) withDefaults() LogOptions {
 	if o.MaxSegmentBytes <= 0 {
 		o.MaxSegmentBytes = 4 << 20
 	}
-	if o.CompactFraction <= 0 {
-		o.CompactFraction = 0.5
-	}
 	return o
 }
 
 // Segment wire format. Each file starts with a 20-byte header (magic,
-// shard index, segment sequence number), followed by frames of
-// [1-byte type][u32 payload length][payload]. Put payloads reuse the
-// Export field layout; a torn trailing frame (crash mid-append) is
-// truncated away on reopen.
+// shard index, segment sequence number), followed by framelog frames.
+// Put payloads are the Export record layout; a torn trailing frame
+// (crash mid-append) is truncated away on reopen.
 const (
 	segMagic      = "VLTSEG1\n"
 	segHeaderSize = len(segMagic) + 4 + 8
 
-	framePut     = 'P' // one sealed record
-	frameTomb    = 'T' // tombstone: the record id was surrendered
-	frameNextID  = 'N' // id high-water mark (written by compaction/restore)
-	frameHdrSize = 5
+	framePut    = 'P' // one sealed record
+	frameTomb   = 'T' // tombstone: the record id was surrendered
+	frameNextID = 'N' // id high-water mark (written by compaction)
 )
 
 // logRecord is the in-memory index entry: clear metadata plus where the
@@ -86,23 +79,28 @@ type logRecord struct {
 	size  int64 // payload length
 }
 
-// logShard is one shard's segment chain. files holds an open handle per
-// segment (reads go through ReadAt; the active segment is appended to
-// with WriteAt at the tracked size, so one handle serves both).
+// logShard is one shard's segment chain: an open log per segment, the
+// active one (segs[seq]) appended to at its tracked size.
 type logShard struct {
-	id     int
-	seq    uint64 // active segment sequence number
-	active *os.File
-	size   int64 // active segment size
-	files  map[uint64]*os.File
-	live   int64 // bytes of frames still reachable from the index
-	dead   int64 // bytes of surrendered/compacted-away frames
+	id   int
+	seq  uint64 // active segment sequence number
+	segs map[uint64]*framelog.Log
+	live int64 // bytes of frames still reachable from the index
+	dead int64 // bytes of surrendered/compacted-away frames
+}
+
+func (sh *logShard) active() *framelog.Log { return sh.segs[sh.seq] }
+
+// append writes one frame to the active segment and returns the
+// payload offset.
+func (sh *logShard) append(typ byte, payload []byte) (int64, error) {
+	at, err := sh.active().Append(framelog.Append(nil, typ, payload))
+	return at + framelog.HeaderSize, err
 }
 
 // LogVault is the append-only segment-backed Store. It follows the
 // vault lifecycle protocol (see Store): rotation and compaction are
-// open-state operations, and after Close the segments are sealed —
-// repolint's vaultstate analyzer enforces the ordering at call sites.
+// open-state operations (repolint's vaultstate checks call sites).
 type LogVault struct {
 	dir  string
 	opts LogOptions
@@ -117,28 +115,20 @@ type LogVault struct {
 
 	// Entropy source; overridable for deterministic tests.
 	randRead func([]byte) (int, error)
-}
-
-// newAEAD builds the package's AES-256-GCM sealer for key.
-func newAEAD(key Key) (cipher.AEAD, error) {
-	block, err := aes.NewCipher(key[:])
-	if err != nil {
-		return nil, fmt.Errorf("vault: cipher: %w", err)
-	}
-	aead, err := cipher.NewGCM(block)
-	if err != nil {
-		return nil, fmt.Errorf("vault: gcm: %w", err)
-	}
-	return aead, nil
+	// File operations; tests substitute ones that fail or tear.
+	fsys framelog.FS
 }
 
 // OpenLog opens (or creates) a log-structured vault in dir, sealed with
 // key. An existing directory is replayed: every segment's frames are
-// re-indexed, tombstones are applied, and a torn trailing frame — the
-// signature of a crash mid-append — is truncated away. Records written
-// by a previous process are fully recovered; the key itself is never
-// stored anywhere under dir.
+// re-indexed, tombstones are applied, and a torn tail in a shard's final
+// segment (a crash mid-append) is truncated away. The key itself is
+// never stored anywhere under dir.
 func OpenLog(key Key, dir string, opts LogOptions) (*LogVault, error) {
+	return openLog(key, dir, opts, framelog.OS)
+}
+
+func openLog(key Key, dir string, opts LogOptions, fsys framelog.FS) (*LogVault, error) {
 	aead, err := newAEAD(key)
 	if err != nil {
 		return nil, err
@@ -153,6 +143,7 @@ func OpenLog(key Key, dir string, opts LogOptions) (*LogVault, error) {
 		idx:      make(map[uint64]*logRecord),
 		nextID:   1,
 		randRead: rand.Read,
+		fsys:     fsys,
 	}
 	if err := v.replay(); err != nil {
 		v.Close()
@@ -165,26 +156,17 @@ func segPath(dir string, shard int, seq uint64) string {
 	return filepath.Join(dir, fmt.Sprintf("shard%d-%08d.seg", shard, seq))
 }
 
+// segHeader is the header segment seq of shard starts with.
+func segHeader(shard int, seq uint64) []byte {
+	hdr := append(make([]byte, 0, segHeaderSize), segMagic...)
+	hdr = binary.BigEndian.AppendUint32(hdr, uint32(shard))
+	return binary.BigEndian.AppendUint64(hdr, seq)
+}
+
 // parseSegName inverts segPath's naming.
 func parseSegName(name string) (shard int, seq uint64, ok bool) {
-	rest, found := strings.CutPrefix(name, "shard")
-	if !found {
-		return 0, 0, false
-	}
-	rest, found = strings.CutSuffix(rest, ".seg")
-	if !found {
-		return 0, 0, false
-	}
-	si, srest, found := strings.Cut(rest, "-")
-	if !found {
-		return 0, 0, false
-	}
-	s, err1 := strconv.Atoi(si)
-	q, err2 := strconv.ParseUint(srest, 10, 64)
-	if err1 != nil || err2 != nil || s < 0 || q == 0 {
-		return 0, 0, false
-	}
-	return s, q, true
+	_, err := fmt.Sscanf(name, "shard%d-%d.seg", &shard, &seq)
+	return shard, seq, err == nil && shard >= 0 && seq > 0 && name == filepath.Base(segPath("", shard, seq))
 }
 
 // shardOf maps a domain to its shard by FNV-1a.
@@ -217,226 +199,118 @@ func (v *LogVault) replay() error {
 	}
 	v.shards = make([]*logShard, shardCount)
 	for i := range v.shards {
-		v.shards[i] = &logShard{id: i, files: make(map[uint64]*os.File)}
+		v.shards[i] = &logShard{id: i, segs: make(map[uint64]*framelog.Log)}
 	}
 
 	// Tombstones are applied globally after all shards replay: within a
 	// shard frames are ordered, and a shard-count change between runs
 	// must still pair every tombstone with its put.
 	tombs := map[uint64]bool{}
-	maxID := uint64(0)
 	for s := 0; s < shardCount; s++ {
 		sh := v.shards[s]
 		seqs := segs[s]
-		sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
+		slices.Sort(seqs)
 		for k, q := range seqs {
-			last := k == len(seqs)-1
-			size, err := v.replaySegment(sh, q, last, tombs, &maxID)
-			if err != nil {
+			if err := v.replaySegment(sh, q, k == len(seqs)-1, tombs); err != nil {
 				return err
 			}
-			if last {
-				sh.seq, sh.size = q, size
-			}
+			sh.seq = q
 		}
 		if len(seqs) == 0 {
 			if err := v.newSegment(sh, 1); err != nil {
 				return err
 			}
-		} else {
-			sh.active = sh.files[sh.seq]
 		}
 	}
 	for id := range tombs {
 		if lr, ok := v.idx[id]; ok {
 			delete(v.idx, id)
 			sh := v.shards[lr.shard]
-			sh.live -= frameHdrSize + lr.size
-			sh.dead += frameHdrSize + lr.size
+			sh.live -= framelog.HeaderSize + lr.size
+			sh.dead += framelog.HeaderSize + lr.size
 		}
-	}
-	if maxID >= v.nextID {
-		v.nextID = maxID + 1
 	}
 	return nil
 }
 
-// replaySegment reads one segment file, indexes its frames and opens a
-// read/append handle for it. A parse failure in the final segment of a
-// shard truncates the torn tail; anywhere else it is corruption.
-func (v *LogVault) replaySegment(sh *logShard, seq uint64, last bool, tombs map[uint64]bool, maxID *uint64) (int64, error) {
+// replaySegment reads one segment file, indexes its frames and keeps
+// its log open for reads (and appends, if it is the active one). A torn
+// tail in the final segment of a shard is cut away; anywhere else it is
+// corruption. The torn tail may be the header itself: rotation creates
+// the file and writes its header in two steps.
+func (v *LogVault) replaySegment(sh *logShard, seq uint64, last bool, tombs map[uint64]bool) error {
 	path := segPath(v.dir, sh.id, seq)
-	data, err := os.ReadFile(path)
+	bad := func(what string) error { return fmt.Errorf("vault: segment %s: %s", filepath.Base(path), what) }
+	l, data, err := framelog.Open(v.fsys, path)
 	if err != nil {
-		return 0, fmt.Errorf("vault: reading segment: %w", err)
+		return fmt.Errorf("vault: reading segment: %w", err)
 	}
-	if len(data) < segHeaderSize || string(data[:len(segMagic)]) != segMagic ||
-		binary.BigEndian.Uint32(data[len(segMagic):]) != uint32(sh.id) ||
-		binary.BigEndian.Uint64(data[len(segMagic)+4:]) != seq {
-		return 0, fmt.Errorf("vault: segment %s: bad header", filepath.Base(path))
-	}
-	off := int64(segHeaderSize)
-	valid := off
-	for int(off) < len(data) {
-		typ, payload, next, ok := parseFrame(data, off)
-		if !ok {
-			break
+	sh.segs[seq] = l // Close owns it from here
+	hdr := segHeader(sh.id, seq)
+	if last && len(data) < len(hdr) && bytes.HasPrefix(hdr, data) {
+		if err := l.Truncate(0); err != nil {
+			return err
 		}
+		if _, err := l.Append(hdr); err != nil {
+			return err
+		}
+		data = hdr
+	}
+	if !bytes.HasPrefix(data, hdr) {
+		return bad("bad header")
+	}
+	valid, err := framelog.Scan(data[segHeaderSize:], func(typ byte, payload []byte, at int) error {
 		switch typ {
 		case framePut:
-			var rec Record
-			var nonce, ct []byte
-			if rec, nonce, ct, err = decodePutPayload(payload); err != nil {
-				return 0, fmt.Errorf("vault: segment %s: %w", filepath.Base(path), err)
+			rec, rest, err := decodeRecord(payload)
+			if err != nil || len(rest) != 0 {
+				return bad("malformed record")
 			}
-			_, _ = nonce, ct // stays on disk; the index keeps only clear metadata
+			rec.nonce, rec.ciphertext = nil, nil // they stay on disk
 			v.idx[rec.ID] = &logRecord{
 				meta: rec, shard: sh.id, seg: seq,
-				off: off + frameHdrSize, size: int64(len(payload)),
+				off: int64(segHeaderSize + at), size: int64(len(payload)),
 			}
-			sh.live += frameHdrSize + int64(len(payload))
-			if rec.ID > *maxID {
-				*maxID = rec.ID
-			}
+			sh.live += framelog.HeaderSize + int64(len(payload))
+			v.nextID = max(v.nextID, rec.ID+1)
 		case frameTomb:
 			if len(payload) != 8 {
-				return 0, fmt.Errorf("vault: segment %s: bad tombstone", filepath.Base(path))
+				return bad("bad tombstone")
 			}
 			tombs[binary.BigEndian.Uint64(payload)] = true
-			sh.dead += frameHdrSize + int64(len(payload))
+			sh.dead += framelog.HeaderSize + int64(len(payload))
 		case frameNextID:
 			if len(payload) != 8 {
-				return 0, fmt.Errorf("vault: segment %s: bad id marker", filepath.Base(path))
+				return bad("bad id marker")
 			}
-			if n := binary.BigEndian.Uint64(payload); n > *maxID+1 {
-				*maxID = n - 1
-			}
+			v.nextID = max(v.nextID, binary.BigEndian.Uint64(payload))
 		default:
-			return 0, fmt.Errorf("vault: segment %s: unknown frame type %q", filepath.Base(path), typ)
+			return bad(fmt.Sprintf("unknown frame type %q", typ))
 		}
-		off = next
-		valid = off
-	}
-	if int(valid) < len(data) {
-		if !last {
-			return 0, fmt.Errorf("vault: segment %s: torn frame in non-final segment", filepath.Base(path))
-		}
-		if err := os.Truncate(path, valid); err != nil {
-			return 0, fmt.Errorf("vault: truncating torn segment: %w", err)
-		}
-	}
-	f, err := os.OpenFile(path, os.O_RDWR, 0o600)
+		return nil
+	})
 	if err != nil {
-		return 0, fmt.Errorf("vault: opening segment: %w", err)
+		return err
 	}
-	sh.files[seq] = f
-	return valid, nil
-}
-
-// parseFrame reads one frame at off; ok is false on a torn tail.
-func parseFrame(data []byte, off int64) (typ byte, payload []byte, next int64, ok bool) {
-	if int64(len(data)) < off+frameHdrSize {
-		return 0, nil, 0, false
+	if valid += segHeaderSize; valid < len(data) {
+		if !last {
+			return bad("torn frame in non-final segment")
+		}
+		if err := l.Truncate(int64(valid)); err != nil {
+			return fmt.Errorf("vault: truncating torn segment: %w", err)
+		}
 	}
-	typ = data[off]
-	n := int64(binary.BigEndian.Uint32(data[off+1:]))
-	if n > 64<<20 || int64(len(data)) < off+frameHdrSize+n {
-		return 0, nil, 0, false
-	}
-	start := off + frameHdrSize
-	return typ, data[start : start+n], start + n, true
+	return nil
 }
 
 // newSegment creates segment seq for sh and makes it active.
 func (v *LogVault) newSegment(sh *logShard, seq uint64) error {
-	f, err := os.OpenFile(segPath(v.dir, sh.id, seq), os.O_RDWR|os.O_CREATE|os.O_EXCL, 0o600)
+	l, err := framelog.Create(v.fsys, segPath(v.dir, sh.id, seq), segHeader(sh.id, seq))
 	if err != nil {
 		return fmt.Errorf("vault: creating segment: %w", err)
 	}
-	// Track the handle before anything fallible: Close owns it from here.
-	sh.files[seq] = f
-	hdr := make([]byte, 0, segHeaderSize)
-	hdr = append(hdr, segMagic...)
-	hdr = binary.BigEndian.AppendUint32(hdr, uint32(sh.id))
-	hdr = binary.BigEndian.AppendUint64(hdr, seq)
-	if _, err := f.WriteAt(hdr, 0); err != nil {
-		return fmt.Errorf("vault: segment header: %w", err)
-	}
-	sh.seq, sh.active, sh.size = seq, f, int64(segHeaderSize)
+	sh.segs[seq], sh.seq = l, seq
 	return nil
-}
-
-// appendFrame writes one frame to sh's active segment and returns the
-// payload offset.
-func (sh *logShard) appendFrame(typ byte, payload []byte) (int64, error) {
-	buf := make([]byte, 0, frameHdrSize+len(payload))
-	buf = append(buf, typ)
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(payload)))
-	buf = append(buf, payload...)
-	if _, err := sh.active.WriteAt(buf, sh.size); err != nil {
-		return 0, fmt.Errorf("vault: segment append: %w", err)
-	}
-	off := sh.size + frameHdrSize
-	sh.size += int64(len(buf))
-	return off, nil
-}
-
-func encodePutPayload(rec Record, nonce, ct []byte) []byte {
-	b := binary.BigEndian.AppendUint64(nil, rec.ID)
-	b = appendPrefixed(b, []byte(rec.Domain))
-	b = appendPrefixed(b, []byte(rec.Verdict))
-	b = binary.BigEndian.AppendUint64(b, uint64(rec.Received.UnixNano()))
-	b = appendPrefixed(b, nonce)
-	b = appendPrefixed(b, ct)
-	return b
-}
-
-func decodePutPayload(p []byte) (rec Record, nonce, ct []byte, err error) {
-	bad := fmt.Errorf("vault: malformed record frame")
-	if len(p) < 8 {
-		return rec, nil, nil, bad
-	}
-	rec.ID, p = binary.BigEndian.Uint64(p), p[8:]
-	var b []byte
-	if b, p, err = cutPrefixed(p); err != nil {
-		return rec, nil, nil, err
-	}
-	rec.Domain = string(b)
-	if b, p, err = cutPrefixed(p); err != nil {
-		return rec, nil, nil, err
-	}
-	rec.Verdict = string(b)
-	if len(p) < 8 {
-		return rec, nil, nil, bad
-	}
-	rec.Received = time.Unix(0, int64(binary.BigEndian.Uint64(p))).UTC()
-	p = p[8:]
-	if nonce, p, err = cutPrefixed(p); err != nil {
-		return rec, nil, nil, err
-	}
-	if ct, p, err = cutPrefixed(p); err != nil {
-		return rec, nil, nil, err
-	}
-	if len(p) != 0 {
-		return rec, nil, nil, bad
-	}
-	return rec, nonce, ct, nil
-}
-
-func appendPrefixed(dst, b []byte) []byte {
-	dst = binary.BigEndian.AppendUint32(dst, uint32(len(b)))
-	return append(dst, b...)
-}
-
-func cutPrefixed(p []byte) ([]byte, []byte, error) {
-	if len(p) < 4 {
-		return nil, nil, fmt.Errorf("vault: malformed record frame")
-	}
-	n := binary.BigEndian.Uint32(p)
-	if n > 64<<20 || len(p) < 4+int(n) {
-		return nil, nil, fmt.Errorf("vault: malformed record frame")
-	}
-	return p[4 : 4+n], p[4+int(n):], nil
 }
 
 // Put encrypts and appends plaintext to the domain's shard, returning
@@ -447,42 +321,61 @@ func (v *LogVault) Put(domain, verdict string, received time.Time, plaintext []b
 	if v.closed {
 		return 0, ErrClosed
 	}
-	nonce := make([]byte, v.aead.NonceSize())
-	if _, err := v.randRead(nonce); err != nil {
-		return 0, fmt.Errorf("vault: nonce: %w", err)
+	rec := Record{ID: v.nextID, Domain: domain, Verdict: verdict, Received: received}
+	if err := rec.seal(v.aead, v.randRead, plaintext); err != nil {
+		return 0, err
 	}
-	id := v.nextID
-	ct := v.aead.Seal(nil, nonce, plaintext, aad(id, domain))
-	rec := Record{ID: id, Domain: domain, Verdict: verdict, Received: received}
-	sh := v.shards[shardOf(domain, len(v.shards))]
-	payload := encodePutPayload(rec, nonce, ct)
-	off, err := sh.appendFrame(framePut, payload)
-	if err != nil {
+	if err := v.appendPut(rec); err != nil {
 		return 0, err
 	}
 	v.nextID++
-	v.idx[id] = &logRecord{meta: rec, shard: sh.id, seg: sh.seq, off: off, size: int64(len(payload))}
-	sh.live += frameHdrSize + int64(len(payload))
-	if sh.size > v.opts.MaxSegmentBytes {
-		if err := v.rotate(sh); err != nil {
-			return 0, err
-		}
-	}
-	return id, nil
+	return rec.ID, nil
 }
 
-// rotate seals sh's active segment and opens the next one, compacting
-// first when the shard has accumulated enough dead bytes.
+// appendPut appends one sealed record to its domain's shard and indexes
+// it. A shard already past MaxSegmentBytes rotates first, so a failed
+// rotation stores nothing.
+func (v *LogVault) appendPut(rec Record) error {
+	sh := v.shards[shardOf(rec.Domain, len(v.shards))]
+	if sh.active().Size() > v.opts.MaxSegmentBytes {
+		if err := v.rotate(sh); err != nil {
+			return err
+		}
+	}
+	payload := encodeRecord(&rec)
+	off, err := sh.append(framePut, payload)
+	if err != nil {
+		return err
+	}
+	rec.nonce, rec.ciphertext = nil, nil // they stay on disk
+	v.idx[rec.ID] = &logRecord{meta: rec, shard: sh.id, seg: sh.seq, off: off, size: int64(len(payload))}
+	sh.live += framelog.HeaderSize + int64(len(payload))
+	return nil
+}
+
+// rotate finishes sh's active segment and opens the next one,
+// compacting instead once dead bytes are at least half the shard. The
+// finished segment and the directory are synced first.
 func (v *LogVault) rotate(sh *logShard) error {
-	if total := sh.live + sh.dead; sh.dead > 0 && float64(sh.dead) >= v.opts.CompactFraction*float64(total) {
+	if sh.dead > 0 && sh.dead >= sh.live {
 		return v.compactShard(sh)
 	}
-	return v.newSegment(sh, sh.seq+1)
+	if err := sh.active().Sync(); err != nil {
+		return err
+	}
+	if err := v.newSegment(sh, sh.seq+1); err != nil {
+		return err
+	}
+	return framelog.SyncDir(v.fsys, v.dir)
 }
 
 // compactShard rewrites sh's live records (in ID order) into a fresh
-// segment and deletes every older one. The new segment leads with an
-// id high-water marker so replay never reuses a surrendered ID.
+// segment, led by an id high-water marker so replay never reuses a
+// surrendered ID, syncs it and the directory, then deletes the older
+// segments in sequence order. A failed removal keeps that segment and
+// every later one for the next compaction: a tombstone lies in the same
+// or a later segment than its put, so what is left never resurrects a
+// surrendered record.
 func (v *LogVault) compactShard(sh *logShard) error {
 	ids := make([]uint64, 0, len(v.idx))
 	for id, lr := range v.idx {
@@ -490,52 +383,48 @@ func (v *LogVault) compactShard(sh *logShard) error {
 			ids = append(ids, id)
 		}
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	slices.Sort(ids)
+	old := make([]uint64, 0, len(sh.segs))
+	for q := range sh.segs {
+		old = append(old, q)
+	}
+	slices.Sort(old)
 
-	oldFiles := sh.files
-	oldSeq := sh.seq
-	sh.files = make(map[uint64]*os.File)
-	if err := v.newSegment(sh, oldSeq+1); err != nil {
-		// Keep the old chain readable; the failed fresh segment (if
-		// created) is tracked in sh.files and will be closed with the rest.
-		for q, f := range oldFiles {
-			sh.files[q] = f
-		}
+	if err := v.newSegment(sh, sh.seq+1); err != nil {
 		return err
 	}
 	marker := binary.BigEndian.AppendUint64(nil, v.nextID)
-	if _, err := sh.appendFrame(frameNextID, marker); err != nil {
-		for q, f := range oldFiles {
-			sh.files[q] = f
-		}
+	if _, err := sh.append(frameNextID, marker); err != nil {
 		return err
 	}
-	live := int64(frameHdrSize + len(marker))
+	live := int64(framelog.HeaderSize + len(marker))
 	for _, id := range ids {
 		lr := v.idx[id]
-		payload := make([]byte, lr.size)
-		if _, err := oldFiles[lr.seg].ReadAt(payload, lr.off); err != nil {
-			for q, f := range oldFiles {
-				sh.files[q] = f
-			}
-			return fmt.Errorf("vault: compaction read: %w", err)
-		}
-		off, err := sh.appendFrame(framePut, payload)
+		payload, err := v.readPayload(lr)
 		if err != nil {
-			for q, f := range oldFiles {
-				sh.files[q] = f
-			}
+			return err
+		}
+		off, err := sh.append(framePut, payload)
+		if err != nil {
 			return err
 		}
 		lr.seg, lr.off = sh.seq, off
-		live += frameHdrSize + lr.size
+		live += framelog.HeaderSize + lr.size
 	}
-	for q, f := range oldFiles {
-		f.Close()
-		os.Remove(segPath(v.dir, sh.id, q))
+	if err := sh.active().Sync(); err != nil {
+		return err
+	}
+	if err := framelog.SyncDir(v.fsys, v.dir); err != nil {
+		return err
 	}
 	sh.live, sh.dead = live, 0
 	v.compactions++
+	for _, q := range old {
+		if err := sh.segs[q].Remove(); err != nil {
+			return fmt.Errorf("vault: removing compacted segment: %w", err)
+		}
+		delete(sh.segs, q)
+	}
 	return nil
 }
 
@@ -555,6 +444,15 @@ func (v *LogVault) Compact() error {
 	return nil
 }
 
+// readPayload reads lr's sealed record back from its segment.
+func (v *LogVault) readPayload(lr *logRecord) ([]byte, error) {
+	payload := make([]byte, lr.size)
+	if err := v.shards[lr.shard].segs[lr.seg].ReadAt(payload, lr.off); err != nil {
+		return nil, fmt.Errorf("vault: segment read: %w", err)
+	}
+	return payload, nil
+}
+
 // Get decrypts record id, reading the sealed payload back from its
 // segment.
 func (v *LogVault) Get(id uint64) ([]byte, *Record, error) {
@@ -569,22 +467,20 @@ func (v *LogVault) Get(id uint64) ([]byte, *Record, error) {
 		v.mu.RUnlock()
 		return nil, nil, ErrNotFound
 	}
-	payload := make([]byte, lr.size)
-	_, err := v.shards[lr.shard].files[lr.seg].ReadAt(payload, lr.off)
+	payload, err := v.readPayload(lr)
 	v.mu.RUnlock()
-	if err != nil {
-		return nil, nil, fmt.Errorf("vault: segment read: %w", err)
-	}
-	rec, nonce, ct, err := decodePutPayload(payload)
 	if err != nil {
 		return nil, nil, err
 	}
-	pt, err := aead.Open(nil, nonce, ct, aad(id, rec.Domain))
+	rec, _, err := decodeRecord(payload)
+	if err != nil {
+		return nil, nil, err
+	}
+	pt, err := aead.Open(nil, rec.nonce, rec.ciphertext, aad(id, rec.Domain))
 	if err != nil {
 		return nil, nil, fmt.Errorf("%w: %v", ErrBadKey, err)
 	}
-	out := Record{ID: rec.ID, Domain: rec.Domain, Verdict: rec.Verdict, Received: rec.Received}
-	return pt, &out, nil
+	return pt, &rec, nil
 }
 
 // Len returns the number of live records.
@@ -602,17 +498,18 @@ func (v *LogVault) Meta() []Record {
 	out := make([]Record, 0, len(v.idx))
 	for id := uint64(1); id < v.nextID; id++ {
 		if lr, ok := v.idx[id]; ok {
-			m := lr.meta
-			out = append(out, Record{ID: m.ID, Domain: m.Domain, Verdict: m.Verdict, Received: m.Received})
+			out = append(out, lr.meta)
 		}
 	}
 	return out
 }
 
 // Surrender appends tombstones for every record of domain and drops
-// them from the index; the bytes die in place until compaction. Unlike
-// the in-memory Vault, a closed LogVault cannot append tombstones, so
-// Surrender after Close is a no-op returning 0.
+// them from the index; the bytes die in place until compaction. Each
+// tombstone is its own append, so a failure or a crash part-way leaves
+// exactly the records not yet dropped. Unlike the in-memory Vault, a
+// closed LogVault cannot append tombstones, so Surrender after Close is
+// a no-op returning 0.
 func (v *LogVault) Surrender(domain string) int {
 	v.mu.Lock()
 	defer v.mu.Unlock()
@@ -625,20 +522,20 @@ func (v *LogVault) Surrender(domain string) int {
 			ids = append(ids, id)
 		}
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	slices.Sort(ids)
 	sh := v.shards[shardOf(domain, len(v.shards))]
 	n := 0
 	for _, id := range ids {
 		lr := v.idx[id]
 		tomb := binary.BigEndian.AppendUint64(nil, id)
-		if _, err := sh.appendFrame(frameTomb, tomb); err != nil {
+		if _, err := sh.append(frameTomb, tomb); err != nil {
 			break // records already dropped stay dropped; the rest survive
 		}
 		delete(v.idx, id)
 		owner := v.shards[lr.shard]
-		owner.live -= frameHdrSize + lr.size
-		owner.dead += frameHdrSize + lr.size
-		sh.dead += frameHdrSize + int64(len(tomb))
+		owner.live -= framelog.HeaderSize + lr.size
+		owner.dead += framelog.HeaderSize + lr.size
+		sh.dead += framelog.HeaderSize + int64(len(tomb))
 		n++
 	}
 	return n
@@ -662,15 +559,11 @@ func (v *LogVault) Export(w io.Writer) error {
 		if !ok {
 			continue
 		}
-		payload := make([]byte, lr.size)
-		if _, err := v.shards[lr.shard].files[lr.seg].ReadAt(payload, lr.off); err != nil {
-			return fmt.Errorf("vault: segment read: %w", err)
-		}
-		rec, nonce, ct, err := decodePutPayload(payload)
+		payload, err := v.readPayload(lr) // a Put payload is its Export record
 		if err != nil {
 			return err
 		}
-		if err := writeExportRecord(w, &rec, nonce, ct); err != nil {
+		if _, err := w.Write(payload); err != nil {
 			return err
 		}
 	}
@@ -693,40 +586,20 @@ func RestoreLog(key Key, dir string, opts LogOptions, r io.Reader) (*LogVault, e
 	if err != nil {
 		return nil, err
 	}
-	restored := false
-	defer func() {
-		if !restored {
-			v.Close()
-		}
-	}()
 	err = decodeExportStream(r, func(rec Record) error {
-		sh := v.shards[shardOf(rec.Domain, len(v.shards))]
-		meta := Record{ID: rec.ID, Domain: rec.Domain, Verdict: rec.Verdict, Received: rec.Received}
-		payload := encodePutPayload(meta, rec.nonce, rec.ciphertext)
-		off, err := sh.appendFrame(framePut, payload)
-		if err != nil {
-			return err
-		}
-		v.idx[rec.ID] = &logRecord{meta: meta, shard: sh.id, seg: sh.seq, off: off, size: int64(len(payload))}
-		sh.live += frameHdrSize + int64(len(payload))
-		if rec.ID >= v.nextID {
-			v.nextID = rec.ID + 1
-		}
-		if sh.size > v.opts.MaxSegmentBytes {
-			return v.newSegment(sh, sh.seq+1)
-		}
-		return nil
+		v.nextID = max(v.nextID, rec.ID+1)
+		return v.appendPut(rec)
 	})
 	if err != nil {
+		v.Close() // a bad stream must not leave the handle open
 		return nil, err
 	}
-	restored = true
 	return v, nil
 }
 
-// Close seals the handle: the AEAD becomes unreachable and every
-// segment file handle is released. Clear metadata (Len, Meta) stays
-// readable; data operations fail with ErrClosed. Idempotent.
+// Close syncs every shard's active segment and the directory, drops the
+// AEAD and releases the segment handles. Clear metadata (Len, Meta)
+// stays readable; data operations fail with ErrClosed. Idempotent.
 func (v *LogVault) Close() error {
 	v.mu.Lock()
 	defer v.mu.Unlock()
@@ -736,14 +609,22 @@ func (v *LogVault) Close() error {
 	v.closed = true
 	v.aead = nil
 	var firstErr error
-	for _, sh := range v.shards {
-		for _, f := range sh.files {
-			if err := f.Close(); err != nil && firstErr == nil {
-				firstErr = err
-			}
+	note := func(err error) {
+		if firstErr == nil {
+			firstErr = err
 		}
-		sh.files = nil
-		sh.active = nil
+	}
+	for _, sh := range v.shards {
+		if l := sh.active(); l != nil {
+			note(l.Sync())
+		}
+		for _, l := range sh.segs {
+			note(l.Close())
+		}
+		sh.segs = nil
+	}
+	if v.shards != nil {
+		note(framelog.SyncDir(v.fsys, v.dir))
 	}
 	return firstErr
 }
@@ -762,7 +643,7 @@ func (v *LogVault) Stats() LogStats {
 	defer v.mu.RUnlock()
 	st := LogStats{Compactions: v.compactions}
 	for _, sh := range v.shards {
-		st.Segments += len(sh.files)
+		st.Segments += len(sh.segs)
 		st.LiveBytes += sh.live
 		st.DeadBytes += sh.dead
 	}

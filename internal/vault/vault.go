@@ -22,6 +22,8 @@ import (
 	"io"
 	"sync"
 	"time"
+
+	"repro/internal/framelog"
 )
 
 // Errors returned by the vault.
@@ -68,8 +70,8 @@ type Vault struct {
 	randRead func([]byte) (int, error)
 }
 
-// Open creates a Vault sealed with key.
-func Open(key Key) (*Vault, error) {
+// newAEAD builds the package's AES-256-GCM sealer for key.
+func newAEAD(key Key) (cipher.AEAD, error) {
 	block, err := aes.NewCipher(key[:])
 	if err != nil {
 		return nil, fmt.Errorf("vault: cipher: %w", err)
@@ -77,6 +79,15 @@ func Open(key Key) (*Vault, error) {
 	aead, err := cipher.NewGCM(block)
 	if err != nil {
 		return nil, fmt.Errorf("vault: gcm: %w", err)
+	}
+	return aead, nil
+}
+
+// Open creates a Vault sealed with key.
+func Open(key Key) (*Vault, error) {
+	aead, err := newAEAD(key)
+	if err != nil {
+		return nil, err
 	}
 	return &Vault{
 		aead:     aead,
@@ -94,20 +105,25 @@ func (v *Vault) Put(domain, verdict string, received time.Time, plaintext []byte
 	if v.closed {
 		return 0, ErrClosed
 	}
-	nonce := make([]byte, v.aead.NonceSize())
-	if _, err := v.randRead(nonce); err != nil {
-		return 0, fmt.Errorf("vault: nonce: %w", err)
+	rec := Record{ID: v.nextID, Domain: domain, Verdict: verdict, Received: received}
+	if err := rec.seal(v.aead, v.randRead, plaintext); err != nil {
+		return 0, err
 	}
-	id := v.nextID
 	v.nextID++
-	// Bind the ID and domain into the AEAD additional data so records
-	// cannot be swapped around undetected.
-	ct := v.aead.Seal(nil, nonce, plaintext, aad(id, domain))
-	v.records[id] = &Record{
-		ID: id, Domain: domain, Verdict: verdict, Received: received,
-		nonce: nonce, ciphertext: ct,
+	v.records[rec.ID] = &rec
+	return rec.ID, nil
+}
+
+// seal encrypts plaintext into rec under a fresh nonce, binding the ID
+// and domain into the AEAD additional data so records cannot be swapped
+// around undetected.
+func (rec *Record) seal(aead cipher.AEAD, randRead func([]byte) (int, error), plaintext []byte) error {
+	rec.nonce = make([]byte, aead.NonceSize())
+	if _, err := randRead(rec.nonce); err != nil {
+		return fmt.Errorf("vault: nonce: %w", err)
 	}
-	return id, nil
+	rec.ciphertext = aead.Seal(nil, rec.nonce, plaintext, aad(rec.ID, rec.Domain))
+	return nil
 }
 
 // Get decrypts record id.
@@ -193,41 +209,50 @@ func (v *Vault) Export(w io.Writer) error {
 		if !ok {
 			continue
 		}
-		if err := writeExportRecord(w, rec, rec.nonce, rec.ciphertext); err != nil {
+		if _, err := w.Write(encodeRecord(rec)); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// writeExportRecord writes one record in Export wire form — shared by
-// the in-memory and log-structured backends so their snapshots are
-// byte-identical for the same content.
-func writeExportRecord(w io.Writer, rec *Record, nonce, ct []byte) error {
-	write := func(data any) error { return binary.Write(w, binary.BigEndian, data) }
-	writeBytes := func(b []byte) error {
-		if err := write(uint32(len(b))); err != nil {
-			return err
-		}
-		_, err := w.Write(b)
-		return err
+// encodeRecord is the one record codec: a record's Export wire form,
+// which is also its LogVault segment payload, so the two backends'
+// snapshots are byte-identical for the same content.
+func encodeRecord(rec *Record) []byte {
+	b := binary.BigEndian.AppendUint64(nil, rec.ID)
+	b = framelog.AppendField(b, rec.Domain)
+	b = framelog.AppendField(b, rec.Verdict)
+	b = binary.BigEndian.AppendUint64(b, uint64(rec.Received.UnixNano()))
+	b = framelog.AppendField(b, rec.nonce)
+	return framelog.AppendField(b, rec.ciphertext)
+}
+
+var errMalformedRecord = errors.New("vault: malformed record")
+
+// decodeRecord splits one encodeRecord record off the front of p. Its
+// nonce and ciphertext alias p.
+func decodeRecord(p []byte) (rec Record, rest []byte, err error) {
+	if len(p) < 8 {
+		return rec, nil, errMalformedRecord
 	}
-	if err := write(rec.ID); err != nil {
-		return err
+	rec.ID, p = binary.BigEndian.Uint64(p), p[8:]
+	var domain, verdict []byte
+	if domain, p, err = framelog.CutField(p); err != nil {
+		return rec, nil, errMalformedRecord
 	}
-	if err := writeBytes([]byte(rec.Domain)); err != nil {
-		return err
+	if verdict, p, err = framelog.CutField(p); err != nil || len(p) < 8 {
+		return rec, nil, errMalformedRecord
 	}
-	if err := writeBytes([]byte(rec.Verdict)); err != nil {
-		return err
+	rec.Domain, rec.Verdict = string(domain), string(verdict)
+	rec.Received = time.Unix(0, int64(binary.BigEndian.Uint64(p))).UTC()
+	if rec.nonce, p, err = framelog.CutField(p[8:]); err != nil {
+		return rec, nil, errMalformedRecord
 	}
-	if err := write(rec.Received.UnixNano()); err != nil {
-		return err
+	if rec.ciphertext, p, err = framelog.CutField(p); err != nil {
+		return rec, nil, errMalformedRecord
 	}
-	if err := writeBytes(nonce); err != nil {
-		return err
-	}
-	return writeBytes(ct)
+	return rec, p, nil
 }
 
 // Import loads an Export stream into a fresh vault sealed with key.
@@ -238,26 +263,15 @@ func Import(key Key, r io.Reader) (*Vault, error) {
 	if err != nil {
 		return nil, err
 	}
-	// A truncated or corrupt stream bails out mid-import; the handle must
-	// be sealed again on those paths, not abandoned open.
-	imported := false
-	defer func() {
-		if !imported {
-			v.Close()
-		}
-	}()
 	err = decodeExportStream(r, func(rec Record) error {
-		stored := rec
-		v.records[stored.ID] = &stored
-		if stored.ID >= v.nextID {
-			v.nextID = stored.ID + 1
-		}
+		v.records[rec.ID] = &rec
+		v.nextID = max(v.nextID, rec.ID+1)
 		return nil
 	})
 	if err != nil {
+		v.Close() // a truncated or corrupt stream must not leave the handle open
 		return nil, err
 	}
-	imported = true
 	return v, nil
 }
 
@@ -265,53 +279,19 @@ func Import(key Key, r io.Reader) (*Vault, error) {
 // record (with nonce and ciphertext populated) — shared by Import and
 // the log-structured RestoreLog.
 func decodeExportStream(r io.Reader, emit func(rec Record) error) error {
-	read := func(data any) error { return binary.Read(r, binary.BigEndian, data) }
-	readBytes := func() ([]byte, error) {
-		var n uint32
-		if err := read(&n); err != nil {
-			return nil, err
-		}
-		if n > 64<<20 {
-			return nil, fmt.Errorf("vault: absurd field size %d", n)
-		}
-		b := make([]byte, n)
-		if _, err := io.ReadFull(r, b); err != nil {
-			return nil, err
-		}
-		return b, nil
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return fmt.Errorf("vault: import: %w", err)
 	}
-	var count uint64
-	if err := read(&count); err != nil {
-		return fmt.Errorf("vault: import header: %w", err)
+	if len(data) < 8 {
+		return fmt.Errorf("vault: import header: %w", errMalformedRecord)
 	}
+	count, p := binary.BigEndian.Uint64(data), data[8:]
 	for i := uint64(0); i < count; i++ {
 		var rec Record
-		if err := read(&rec.ID); err != nil {
+		if rec, p, err = decodeRecord(p); err != nil {
 			return fmt.Errorf("vault: import record %d: %w", i, err)
 		}
-		domain, err := readBytes()
-		if err != nil {
-			return err
-		}
-		verdict, err := readBytes()
-		if err != nil {
-			return err
-		}
-		var ns int64
-		if err := read(&ns); err != nil {
-			return err
-		}
-		nonce, err := readBytes()
-		if err != nil {
-			return err
-		}
-		ct, err := readBytes()
-		if err != nil {
-			return err
-		}
-		rec.Domain, rec.Verdict = string(domain), string(verdict)
-		rec.Received = time.Unix(0, ns).UTC()
-		rec.nonce, rec.ciphertext = nonce, ct
 		if err := emit(rec); err != nil {
 			return err
 		}
