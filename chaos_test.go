@@ -14,7 +14,15 @@ package repro
 //   3. every stored message passed sanitize before vault.Put;
 //   4. no goroutine leaks and clean shutdown, under -race;
 //   5. a fixed seed replays bit-for-bit: identical fault trace and
-//      identical counters across runs (TestChaosSoak/replay-identical).
+//      identical counters across runs (TestChaosSoak/replay-identical);
+//   6. faults never alter what is delivered: every delivery is
+//      byte-identical to the message the soak sent to its recipient.
+//
+// Invariant 6 makes the soak's content a fixed set of 12 messages
+// (chaosMessage). The engine-vs-stdlib regex differentials run over
+// copies of them in their own packages: internal/sanitize's
+// TestEngineOracleCorpus and internal/spamfilter's
+// TestPrepareDecideMatchesOracle, each pinned to chaosSHA256.
 //
 // Determinism contract: the workload is sequential, so faultnet conn IDs
 // are allocated in a fixed order. Client-side read faults are disabled
@@ -28,6 +36,8 @@ package repro
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"net"
 	"os"
@@ -47,7 +57,6 @@ import (
 	"repro/internal/sanitize"
 	"repro/internal/smtpc"
 	"repro/internal/smtpd"
-	"repro/internal/spamfilter"
 	"repro/internal/vault"
 	"repro/internal/whois"
 )
@@ -110,12 +119,39 @@ type chaosResult struct {
 	WhoisOK      int
 	WhoisFail    int
 	DialFaults   int64 // dial-refused + dial-timeout across SMTP and probe nets
-	// EquivChecked/EquivMismatches account the in-soak differential: every
-	// delivered message is redacted and classified on both the engine and
-	// oracle regex paths; mismatches must stay zero at every fault rate.
-	EquivChecked    int64
-	EquivMismatches int64
-	Trace           string
+	// IntactChecked counts the deliveries compared with the message sent
+	// to their recipient; IntactMismatches, those that differed, must
+	// stay zero at every fault rate.
+	IntactChecked    int64
+	IntactMismatches int64
+	Trace            string
+}
+
+// chaosSends is how many messages the soak sends, one per recipient.
+const chaosSends = 12
+
+// chaosMessage is the message the soak sends to chaosRcpt(i).
+func chaosMessage(i int) *mailmsg.Message {
+	return mailmsg.NewBuilder("alice@gmail.com", chaosRcpt(i), fmt.Sprintf("chaos-%d", i)).
+		Body("card 4111 1111 1111 1111 and ssn 078-05-1120\n").Build()
+}
+
+func chaosRcpt(i int) string { return fmt.Sprintf("u%d@gmial.com", i) }
+
+// chaosSHA256 is the SHA-256 of the chaosSends messages' bytes in send
+// order. The package differentials that copy chaosMessage pin the same
+// digest; TestChaosMessagesPinned fails here when the messages change.
+const chaosSHA256 = "728d4dde32bb3488f87c5fbe570318c5424a16a3717e1c0b703606cfeadcff95"
+
+// TestChaosMessagesPinned holds chaosMessage to chaosSHA256.
+func TestChaosMessagesPinned(t *testing.T) {
+	h := sha256.New()
+	for i := 0; i < chaosSends; i++ {
+		h.Write(chaosMessage(i).Bytes())
+	}
+	if sum := hex.EncodeToString(h.Sum(nil)); sum != chaosSHA256 {
+		t.Fatalf("chaos messages hash to %s, want %s: update the copies in internal/sanitize and internal/spamfilter with the digest", sum, chaosSHA256)
+	}
 }
 
 func chaosSeed(t *testing.T) int64 {
@@ -138,7 +174,7 @@ func runChaos(t *testing.T, seed int64, rate float64, vc chaosVaultConfig) chaos
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
 	const typoDomain = "gmial.com"
-	const sends = 12
+	const sends = chaosSends
 	const probes = 4
 	const whoisQueries = 4
 
@@ -180,13 +216,11 @@ func runChaos(t *testing.T, seed int64, rate float64, vc chaosVaultConfig) chaos
 		t.Fatal(err)
 	}
 	var deliverMu sync.Mutex
-	var delivered, equivChecked, equivMismatches int64
-	// In-soak differential: per-run engine and oracle classifiers (the
-	// oracle seam is per-instance Config, so both run under -race without
-	// touching shared toggles) fed the same delivery sequence.
-	ourDomains := map[string]bool{typoDomain: true}
-	clsEngine := spamfilter.NewClassifier(spamfilter.Config{OurDomains: ourDomains})
-	clsOracle := spamfilter.NewClassifier(spamfilter.Config{OurDomains: ourDomains, Oracle: true})
+	var delivered, intactChecked, intactMismatches int64
+	sent := make(map[string][]byte, sends)
+	for i := 0; i < sends; i++ {
+		sent[chaosRcpt(i)] = chaosMessage(i).Bytes()
+	}
 	smtpSrv, err := smtpd.NewServer(smtpd.Config{
 		Hostname: typoDomain,
 		Timeout:  2 * time.Second,
@@ -195,21 +229,9 @@ func runChaos(t *testing.T, seed int64, rate float64, vc chaosVaultConfig) chaos
 			clean, _ := sani.Redact(string(e.Data))
 			deliverMu.Lock()
 			defer deliverMu.Unlock()
-			// Redaction must be byte-identical on the oracle regex path,
-			// and both classifier paths must agree on the verdict.
-			equivChecked++
-			if cleanOracle, _ := sani.RedactOracle(string(e.Data)); cleanOracle != clean {
-				equivMismatches++
-			}
-			if msg, merr := mailmsg.Parse(e.Data); merr == nil {
-				mail := spamfilter.Email{
-					Msg: msg, ServerDomain: typoDomain,
-					RcptAddr: e.Rcpts[0], SenderAddr: e.MailFrom, Received: e.Received,
-				}
-				oMail := mail
-				if clsEngine.ClassifyOne(&mail).Verdict != clsOracle.ClassifyOne(&oMail).Verdict {
-					equivMismatches++
-				}
+			intactChecked++
+			if len(e.Rcpts) != 1 || !bytes.Equal(e.Data, sent[e.Rcpts[0]]) {
+				intactMismatches++
 			}
 			if _, perr := v.Put(typoDomain, "chaos", e.Received, []byte(clean)); perr != nil {
 				return perr
@@ -283,11 +305,8 @@ func runChaos(t *testing.T, seed int64, rate float64, vc chaosVaultConfig) chaos
 		} else {
 			res.ResolveFail++
 		}
-		msg := mailmsg.NewBuilder("alice@gmail.com", fmt.Sprintf("u%d@%s", i, typoDomain),
-			fmt.Sprintf("chaos-%d", i)).
-			Body("card 4111 1111 1111 1111 and ssn 078-05-1120\n").Build()
 		attempts, serr := client.SendRetry(ctx, policy, smtpAddr, smtpc.ModePlain,
-			"alice@gmail.com", []string{fmt.Sprintf("u%d@%s", i, typoDomain)}, msg.Bytes())
+			"alice@gmail.com", []string{chaosRcpt(i)}, sent[chaosRcpt(i)])
 		res.SendAttempts += attempts
 		if serr == nil {
 			res.SendOK++
@@ -328,15 +347,14 @@ func runChaos(t *testing.T, seed int64, rate float64, vc chaosVaultConfig) chaos
 	if res.Delivered != delivered {
 		t.Errorf("server delivered %d, Deliver hook saw %d", res.Delivered, delivered)
 	}
-	res.EquivChecked, res.EquivMismatches = equivChecked, equivMismatches
-	// Invariant: the engine and oracle regex paths never disagree, on any
-	// delivery, at any fault rate.
-	if res.EquivMismatches != 0 {
-		t.Errorf("engine/oracle equivalence broke on %d of %d deliveries",
-			res.EquivMismatches, res.EquivChecked)
+	res.IntactChecked, res.IntactMismatches = intactChecked, intactMismatches
+	// Invariant 6: no fault alters a delivered message.
+	if res.IntactMismatches != 0 {
+		t.Errorf("%d of %d deliveries differ from the message sent",
+			res.IntactMismatches, res.IntactChecked)
 	}
-	if res.Delivered > 0 && res.EquivChecked != delivered {
-		t.Errorf("equivalence checked %d deliveries, delivered %d", res.EquivChecked, delivered)
+	if res.IntactChecked != delivered {
+		t.Errorf("checked %d deliveries, delivered %d", res.IntactChecked, delivered)
 	}
 	res.VaultLen = v.Len()
 	res.SMTPConns = cnetSMTP.Conns()

@@ -3,8 +3,8 @@
 // candidate start positions (from literal factors every match must
 // contain), a lazy byte-class DFA confirms or rejects each candidate,
 // and an anchored stdlib regexp supplies the exact span and submatches
-// only where the DFA accepts. The stdlib regexp for each pattern stays
-// compiled alongside as the differential oracle: by construction the
+// only where the DFA accepts. The tests hold every pattern to its plain
+// stdlib regexp, the differential oracle: by construction the
 // candidate set is a superset of true match starts, candidates are
 // visited in increasing order (so the leftmost match is found first),
 // and the final span always comes from Go's own engine — so the output

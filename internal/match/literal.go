@@ -10,7 +10,7 @@ import (
 // digit runs, where no useful literal exists) are driven by a lazy
 // first-byte scan; modeBOT patterns are anchored at the beginning of
 // text and have exactly one candidate; modeFallback patterns run the
-// stdlib oracle directly — always correct, never fast.
+// plain stdlib regexp directly — always correct, never fast.
 const (
 	modeFactors = iota
 	modeFirstByte
@@ -49,7 +49,7 @@ type analysis struct {
 }
 
 // analyze classifies a parsed pattern. The caller falls back to the
-// oracle whenever mode is modeFallback; everything else is a
+// plain stdlib regexp whenever mode is modeFallback; everything else is a
 // necessary-condition prefilter, proven a superset of true match
 // starts by the differential suite.
 func analyze(re *syntax.Regexp) analysis {
@@ -57,7 +57,7 @@ func analyze(re *syntax.Regexp) analysis {
 	a := analysis{minLen: mn}
 	if mn == 0 {
 		// An empty match defeats both the prefilter (no required
-		// bytes) and FindAll resume arithmetic; the oracle handles it.
+		// bytes) and FindAll resume arithmetic; the stdlib handles it.
 		a.mode = modeFallback
 		return a
 	}

@@ -32,7 +32,7 @@ type acLitMeta struct {
 type pat struct {
 	src    string
 	mode   int
-	re     *regexp.Regexp // the oracle: the pattern exactly as given
+	re     *regexp.Regexp // the pattern exactly as given, for modeFallback
 	re0    *regexp.Regexp // \A(?:src) — anchored probe at a candidate
 	reCtx  *regexp.Regexp // (?s)\A.(?:src) — probe with one context byte for \b
 	d      *dfa
@@ -42,8 +42,8 @@ type pat struct {
 
 // Compile builds an engine over the given patterns. Pattern indices in
 // the returned engine follow the argument order. Each pattern is also
-// compiled with the stdlib as the differential oracle; Compile fails
-// if any pattern fails stdlib compilation.
+// compiled with the stdlib, which a pattern the engine cannot analyze
+// runs on; Compile fails if any pattern fails stdlib compilation.
 func Compile(patterns []string) (*Engine, error) {
 	e := &Engine{}
 	lits := make([]string, 0, 4*len(patterns))
@@ -69,7 +69,7 @@ func Compile(patterns []string) (*Engine, error) {
 			}
 			if err != nil {
 				// A pattern the stdlib accepts bare but not wrapped
-				// (should not happen): keep it on the oracle path.
+				// (should not happen): keep it on the plain stdlib path.
 				p.mode, p.re0, p.reCtx = modeFallback, nil, nil
 			} else {
 				p.d = compileDFA(sim)
@@ -109,10 +109,6 @@ func MustCompile(patterns ...string) *Engine {
 	}
 	return e
 }
-
-// Oracle returns the stdlib regexp for pattern id — the reference the
-// engine is proven equivalent to.
-func (e *Engine) Oracle(id int) *regexp.Regexp { return e.pats[id].re }
 
 // Mode reports the scan strategy chosen for pattern id, for tests that
 // pin which patterns actually exercise the prefilter.
@@ -285,8 +281,8 @@ func (s *Scan) prepare(id int) []cand {
 
 // FindAll calls yield with the submatch index slice (as from
 // FindStringSubmatchIndex) of every non-overlapping match of pattern
-// id, leftmost first — the same sequence a FindAll loop over the
-// oracle produces. The slice is only valid during the call. Returning
+// id, leftmost first — the same sequence the stdlib regexp's
+// FindAllStringSubmatchIndex produces. The slice is only valid during the call. Returning
 // false from yield stops the iteration early.
 func (s *Scan) FindAll(id int, yield func(idx []int) bool) {
 	p := s.e.pats[id]
@@ -324,7 +320,7 @@ func (s *Scan) FindAll(id int, yield func(idx []int) bool) {
 }
 
 // Match reports whether pattern id matches anywhere in the text, like
-// Oracle(id).MatchString. Only existence is asked, so an exact DFA
+// the stdlib regexp's MatchString. Only existence is asked, so an exact DFA
 // verdict settles a candidate; the probe runs only where the DFA could
 // not decide.
 func (s *Scan) Match(id int) bool {
@@ -343,8 +339,8 @@ func (s *Scan) Match(id int) bool {
 }
 
 // Count returns the number of non-overlapping matches of pattern id,
-// capped at max (max < 0 means unlimited): exactly
-// len(Oracle(id).FindAllString(text, max)).
+// capped at max (max < 0 means unlimited): exactly the stdlib regexp's
+// len(FindAllString(text, max)).
 func (s *Scan) Count(id, max int) int {
 	if max == 0 {
 		return 0

@@ -13,7 +13,6 @@ package sanitize
 import (
 	"crypto/sha256"
 	"encoding/hex"
-	"regexp"
 	"sort"
 	"strings"
 
@@ -59,7 +58,6 @@ type Finding struct {
 type detector struct {
 	kind    Kind
 	pattern string
-	re      *regexp.Regexp
 	// validate may reject a syntactic match; nil accepts all. It returns
 	// the redaction label.
 	validate func(groups []string) (string, bool)
@@ -125,9 +123,9 @@ func computeSlimStats(text string) textStats {
 var detectors = buildDetectors()
 
 // engine compiles every detector pattern into one shared-prefilter
-// multi-pattern engine; pattern id i is detectors[i]. The stdlib
-// regexps on each detector stay alive as the differential oracle
-// behind ScanOracle/RedactOracle.
+// multi-pattern engine; pattern id i is detectors[i]. It is the only
+// compiled form of the patterns; the tests hold it to their stdlib
+// regexps.
 var engine = buildEngine()
 
 func buildEngine() *match.Engine {
@@ -279,9 +277,6 @@ func buildDetectors() []detector {
 			},
 		},
 	}
-	for i := range ds {
-		ds[i].re = regexp.MustCompile(ds[i].pattern)
-	}
 	return ds
 }
 
@@ -295,11 +290,11 @@ func buildDetectors() []detector {
 // All detectors share one multi-pattern engine pass (internal/match):
 // a single scan of the text collects candidate positions for every
 // pattern, and each detector whose engGate holds then confirms its
-// candidates. The result equals ScanOracle's by construction: the
-// engine's FindAll is proven equivalent to each detector regexp's
-// FindAll (internal/match differential suite), engGate only skips a
-// pattern that cannot match, and validation, group selection and
-// ordering are the same code.
+// candidates. The result equals that of running each detector's stdlib
+// regexp over the whole text, by construction: the engine's FindAll is
+// proven equivalent to the regexp's FindAll (internal/match
+// differential suite), engGate only skips a pattern that cannot match,
+// and validation, group selection and ordering are the same code.
 func Scan(text string) []Finding {
 	st := computeSlimStats(text)
 	var out []Finding
@@ -326,34 +321,6 @@ func Scan(text string) []Finding {
 		})
 	}
 	s.Release()
-	sortFindings(out)
-	return out
-}
-
-// ScanOracle is the plain reference Scan is differentially tested
-// against: each detector's stdlib regexp runs over the whole text
-// (re.FindAllStringSubmatchIndex(text, -1)) and its matches go through
-// validate. Nothing is gated or prefiltered.
-func ScanOracle(text string) []Finding {
-	var out []Finding
-	var gbuf [4]string // widest detector has 3 capture groups + whole
-	for i := range detectors {
-		d := &detectors[i]
-		for _, idx := range d.re.FindAllStringSubmatchIndex(text, -1) {
-			groups := submatchInto(gbuf[:0], text, idx)
-			label, ok := "", true
-			if d.validate != nil {
-				label, ok = d.validate(groups)
-			}
-			if !ok {
-				continue
-			}
-			gs, ge := idx[2*d.group], idx[2*d.group+1]
-			out = append(out, Finding{
-				Kind: d.kind, Match: text[gs:ge], Start: gs, End: ge, Label: label,
-			})
-		}
-	}
 	sortFindings(out)
 	return out
 }
@@ -454,12 +421,6 @@ func (s *Sanitizer) hashToken(label, match string) string {
 // Section 4.2.2. It returns the cleaned text and the findings.
 func (s *Sanitizer) Redact(text string) (string, []Finding) {
 	return s.redact(text, Scan(text))
-}
-
-// RedactOracle is Redact over ScanOracle's findings: the plain
-// redaction path, kept for byte-for-byte differential comparison.
-func (s *Sanitizer) RedactOracle(text string) (string, []Finding) {
-	return s.redact(text, ScanOracle(text))
 }
 
 func (s *Sanitizer) redact(text string, findings []Finding) (string, []Finding) {

@@ -88,26 +88,19 @@ type Result struct {
 type Config struct {
 	// OurDomains is the set of registered typo domains.
 	OurDomains map[string]bool
-	// Scorer is the Layer 2 engine; nil gets NewScorer().
-	Scorer *Scorer
 	// Frequency thresholds of Layer 5 (Section 4.3): recipient address 20,
 	// sender address 10, content 10. Zero values get these defaults.
 	RcptThreshold    int
 	SenderThreshold  int
 	ContentThreshold int
-	// Oracle routes every regex decision (Layer 2 content rules and the
-	// Layer 4 reflection patterns) through the original stdlib regexps
-	// instead of the shared multi-pattern engine — the reference path
-	// differential tests compare the engine against. Per-instance so
-	// engine and oracle classifiers can run concurrently.
-	Oracle bool
 }
 
 // Classifier runs the five-layer funnel. Layers 1, 2 and 4 depend on
 // the email alone and run in Prepare; Layer 3 is ordered and runs in
 // Decide; Layer 5 requires corpus-wide frequencies and runs in Classify.
 type Classifier struct {
-	cfg Config
+	cfg    Config
+	scorer *Scorer // the Layer 2 engine
 
 	// memo holds the content facts of recently prepared contents.
 	memo factMemo
@@ -121,13 +114,6 @@ type Classifier struct {
 
 // NewClassifier creates a funnel over the given registered domains.
 func NewClassifier(cfg Config) *Classifier {
-	if cfg.Scorer == nil {
-		if cfg.Oracle {
-			cfg.Scorer = NewScorerOracle()
-		} else {
-			cfg.Scorer = NewScorer()
-		}
-	}
 	if cfg.RcptThreshold == 0 {
 		cfg.RcptThreshold = 20
 	}
@@ -139,6 +125,7 @@ func NewClassifier(cfg Config) *Classifier {
 	}
 	return &Classifier{
 		cfg:         cfg,
+		scorer:      NewScorer(),
 		spamSenders: make(map[FreqKey]bool),
 		spamBags:    make(map[FreqKey]bool),
 	}
@@ -184,17 +171,12 @@ func (c *Classifier) layer1(e *Email) bool {
 	return false
 }
 
-// layer4 detects reflection typos — output of automated systems.
-// reflectionBody is the content fact: the body reads like one.
-func (c *Classifier) layer4(e *Email, reflectionBody bool) bool {
+// layer4 detects reflection typos — output of automated systems. Its
+// regex questions are answered in f.
+func (c *Classifier) layer4(e *Email, f emailFacts) bool {
 	m := e.Msg
-	if m.HasHeader("List-Unsubscribe") || m.HasHeader("List-Id") {
+	if m.HasHeader("List-Unsubscribe") || m.HasHeader("List-Id") || f.head.bounce {
 		return true
-	}
-	for _, h := range [...]string{"Sender", "From", "Reply-To"} {
-		if matchOn(c.cfg.Oracle, patBounceSender, m.Header(h)) {
-			return true
-		}
 	}
 	// Any two of From, Reply-To, Return-Path with different values.
 	var vals [3]string
@@ -212,13 +194,7 @@ func (c *Classifier) layer4(e *Email, reflectionBody bool) bool {
 			}
 		}
 	}
-	if reflectionBody {
-		return true
-	}
-	if matchOn(c.cfg.Oracle, patSystemUser, mailmsg.Addr(e.SenderAddr)) || matchOn(c.cfg.Oracle, patSystemUser, mailmsg.Addr(m.From())) {
-		return true
-	}
-	return false
+	return f.body.reflection || f.head.systemUser
 }
 
 // Prepared is one email's funnel evidence that depends on the email
@@ -241,24 +217,28 @@ type Prepared struct {
 // every email. It reads only the classifier's configuration and memo,
 // so any goroutine may call it in any order.
 func (c *Classifier) Prepare(e *Email) Prepared {
-	f := c.facts(e.Msg)
+	cf := c.facts(e.Msg)
 	sender := mailmsg.Addr(e.SenderAddr)
-	p := Prepared{Email: e, hasSender: sender != "", hasBag: f.hasBag}
+	p := Prepared{Email: e, hasSender: sender != "", hasBag: cf.hasBag}
 	p.Keys.Rcpt = hashKey("", mailmsg.Addr(e.RcptAddr))
 	p.Keys.Sender = hashKey("", sender)
-	p.Keys.Content = f.content
-	if c.layer1(e) {
+	p.Keys.Content = cf.content
+	switch {
+	case c.layer1(e):
 		p.verdict, p.layer = VerdictSpamHeader, 1
-	} else if HasForbiddenArchive(e.Msg) {
+	case HasForbiddenArchive(e.Msg):
 		p.verdict, p.layer = VerdictSpamArchive, 2
-	} else if score, hits := c.cfg.Scorer.scoreWith(e.Msg, f.body); score >= c.cfg.Scorer.Threshold {
-		p.verdict, p.layer, p.rules = VerdictSpamScore, 2, hits
-	} else if c.layer4(e, f.body.reflection) {
-		p.verdict, p.layer = VerdictReflection, 4
-	} else if e.SMTPTypoDomain && !c.registeredSuffix(mailmsg.AddrDomain(e.RcptAddr)) {
-		p.verdict = VerdictSMTPTypo
-	} else {
-		p.verdict = VerdictReceiverTypo
+	default:
+		f := emailFacts{body: cf.body, head: headerFactsOf(e.Msg, sender)}
+		if score, hits := c.scorer.scoreWith(e.Msg, f); score >= c.scorer.Threshold {
+			p.verdict, p.layer, p.rules = VerdictSpamScore, 2, hits
+		} else if c.layer4(e, f) {
+			p.verdict, p.layer = VerdictReflection, 4
+		} else if e.SMTPTypoDomain && !c.registeredSuffix(mailmsg.AddrDomain(e.RcptAddr)) {
+			p.verdict = VerdictSMTPTypo
+		} else {
+			p.verdict = VerdictReceiverTypo
+		}
 	}
 	return p
 }

@@ -156,58 +156,26 @@ func TestFrequencyThresholdEdges(t *testing.T) {
 	}
 }
 
-// TestFunnelEngineOracleVerdicts runs the fixture plus corpus spam and
-// ham through an engine-path classifier and an Oracle-path classifier
-// and requires identical verdicts, layers and rule hits throughout.
-func TestFunnelEngineOracleVerdicts(t *testing.T) {
-	mkEmails := func() []*Email {
-		emails := funnelFixture()
-		i := len(emails)
-		for _, ds := range corpus.AllDatasets() {
-			for j, lm := range corpus.Generate(ds) {
-				if j >= 40 {
-					break
-				}
-				emails = append(emails, ourEmail(lm.Msg, "gmial.com", "u@gmial.com",
-					mailmsg.Addr(lm.Msg.From()), false, t0.Add(time.Duration(i)*time.Second)))
-				i++
-			}
-		}
-		return emails
-	}
-	eng := NewClassifier(Config{OurDomains: map[string]bool{"gmial.com": true, "outlo0k.com": true, "smtpverizon.net": true}})
-	ora := NewClassifier(Config{OurDomains: map[string]bool{"gmial.com": true, "outlo0k.com": true, "smtpverizon.net": true}, Oracle: true})
-	re := eng.Classify(mkEmails())
-	ro := ora.Classify(mkEmails())
-	if len(re) != len(ro) {
-		t.Fatalf("result lengths differ: %d vs %d", len(re), len(ro))
-	}
-	for i := range re {
-		if re[i].Verdict != ro[i].Verdict || re[i].Layer != ro[i].Layer {
-			t.Errorf("email %d: engine %v/L%d, oracle %v/L%d",
-				i, re[i].Verdict, re[i].Layer, ro[i].Verdict, ro[i].Layer)
-		}
-		if !reflect.DeepEqual(re[i].Rules, ro[i].Rules) {
-			t.Errorf("email %d rule hits differ: engine %v, oracle %v", i, re[i].Rules, ro[i].Rules)
-		}
-	}
-}
-
-// TestScorerEngineOracleScores requires identical scores and rule-hit
-// lists from the engine and oracle scorers over every corpus message.
+// TestScorerEngineOracleScores requires the engine's regex evidence to
+// equal the stdlib oracle's, and identical scores, rule-hit lists and
+// IsSpam verdicts from the two, over every corpus message.
 func TestScorerEngineOracleScores(t *testing.T) {
-	eng, ora := NewScorer(), NewScorerOracle()
+	s := NewScorer()
 	for _, ds := range corpus.AllDatasets() {
 		for j, lm := range corpus.Generate(ds) {
 			if j >= 60 {
 				break
 			}
-			se, he := eng.Score(lm.Msg)
-			so, ho := ora.Score(lm.Msg)
+			fe, fo := messageFacts(lm.Msg), oracleFacts(&Email{Msg: lm.Msg})
+			if fe != fo {
+				t.Fatalf("%s msg %d: engine facts %+v, oracle %+v", ds, j, fe, fo)
+			}
+			se, he := s.Score(lm.Msg)
+			so, ho := s.scoreWith(lm.Msg, fo)
 			if se != so || !reflect.DeepEqual(he, ho) {
 				t.Fatalf("%s msg %d: engine %.1f %v, oracle %.1f %v", ds, j, se, he, so, ho)
 			}
-			if eng.IsSpam(lm.Msg) != ora.IsSpam(lm.Msg) {
+			if s.IsSpam(lm.Msg) != (so >= s.Threshold) {
 				t.Fatalf("%s msg %d: IsSpam differs", ds, j)
 			}
 		}

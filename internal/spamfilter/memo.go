@@ -91,11 +91,7 @@ func (c *Classifier) facts(m *mailmsg.Message) contentFacts {
 	f := contentFacts{
 		content: contentKey(text, bag, hasBag),
 		hasBag:  hasBag,
-		body:    bodyFactsOf(k.subject, k.body, k.html, text, c.cfg.Scorer.oracle),
-	}
-	if c.cfg.Oracle != c.cfg.Scorer.oracle {
-		// Layer 4 matches on the classifier's path, not the scorer's.
-		f.body.reflection = matchOn(c.cfg.Oracle, patReflectionBody, text)
+		body:    bodyFactsOf(k.subject, k.body, k.html, text),
 	}
 	c.memo.put(k, f)
 	return f

@@ -3,6 +3,7 @@ package spamfilter
 import (
 	"hash/fnv"
 	"reflect"
+	"regexp"
 	"sort"
 	"strings"
 	"testing"
@@ -12,10 +13,49 @@ import (
 )
 
 // This file keeps the funnel's one plain oracle: the single-function
-// ClassifyOne that Prepare/Decide split, with Layer 3 keyed by the raw
-// sender and bag-signature strings and a Layer 5 that counts the raw
-// key strings. The differential tests in split_test.go hold the
-// production funnel to it.
+// ClassifyOne that Prepare/Decide split, with every regex question
+// answered by the stdlib regexps of the funnel's patterns, Layer 3
+// keyed by the raw sender and bag-signature strings and a Layer 5 that
+// counts the raw key strings. The differential tests in split_test.go
+// hold the production funnel to it.
+
+// oracleRE is every funnel pattern compiled with the stdlib, indexed by
+// its ruleEngine pattern id.
+var oracleRE = [...]*regexp.Regexp{
+	patSpamPhrase:     regexp.MustCompile(spamPhrasePat),
+	patMoney:          regexp.MustCompile(moneyPat),
+	patURL:            regexp.MustCompile(urlPat),
+	patBadTLD:         regexp.MustCompile(badTLDPat),
+	patReflectionBody: regexp.MustCompile(reflectionBodyPat),
+	patBounceSender:   regexp.MustCompile(bounceSenderPat),
+	patSystemUser:     regexp.MustCompile(systemUserPat),
+}
+
+// oracleFacts answers every regex question the funnel asks of e with
+// oracleRE, each regexp run over the whole string it is asked about.
+func oracleFacts(e *Email) emailFacts {
+	m := e.Msg
+	text, subject, html := m.Text(), m.Subject(), m.HTMLBody
+	matchAny := func(pat int, texts ...string) bool {
+		for _, t := range texts {
+			if oracleRE[pat].MatchString(t) {
+				return true
+			}
+		}
+		return false
+	}
+	f := emailFacts{body: bodyShape(m.Body, html, text)}
+	f.body.phrases = len(oracleRE[patSpamPhrase].FindAllString(text+" "+subject, 3))
+	f.body.money = matchAny(patMoney, text)
+	f.body.manyLinks = len(oracleRE[patURL].FindAllString(text+" "+html, 3)) >= 2
+	f.body.badTLDText = matchAny(patBadTLD, text)
+	f.body.badTLDHTML = matchAny(patBadTLD, html)
+	f.body.reflection = matchAny(patReflectionBody, text)
+	f.head.badTLD = matchAny(patBadTLD, m.From(), m.Header("Reply-To"))
+	f.head.bounce = matchAny(patBounceSender, m.Header("Sender"), m.From(), m.Header("Reply-To"))
+	f.head.systemUser = matchAny(patSystemUser, mailmsg.Addr(e.SenderAddr), mailmsg.Addr(m.From()))
+	return f
+}
 
 // oracleBagOfWords returns the message body's normalized unique-word
 // set, sorted — Layer 3's content signature. ok is false when the bag
@@ -97,6 +137,7 @@ func (c *Oracle) layer3(e *Email) bool {
 // state. Survivors are provisionally receiver or SMTP typos; Layer 5 may
 // still reclassify them in Classify.
 func (c *Oracle) ClassifyOne(e *Email) Result {
+	f := oracleFacts(e)
 	if c.layer1(e) {
 		c.markSpam(e)
 		return Result{Email: e, Verdict: VerdictSpamHeader, Layer: 1}
@@ -105,7 +146,7 @@ func (c *Oracle) ClassifyOne(e *Email) Result {
 		c.markSpam(e)
 		return Result{Email: e, Verdict: VerdictSpamArchive, Layer: 2}
 	}
-	if score, hits := c.cfg.Scorer.Score(e.Msg); score >= c.cfg.Scorer.Threshold {
+	if score, hits := c.scorer.scoreWith(e.Msg, f); score >= c.scorer.Threshold {
 		c.markSpam(e)
 		return Result{Email: e, Verdict: VerdictSpamScore, Layer: 2, Rules: hits}
 	}
@@ -113,7 +154,7 @@ func (c *Oracle) ClassifyOne(e *Email) Result {
 		c.markSpam(e)
 		return Result{Email: e, Verdict: VerdictSpamCollab, Layer: 3}
 	}
-	if c.layer4(e, matchOn(c.cfg.Oracle, patReflectionBody, e.Msg.Text())) {
+	if c.layer4(e, f) {
 		return Result{Email: e, Verdict: VerdictReflection, Layer: 4}
 	}
 	if e.SMTPTypoDomain && !c.registeredSuffix(mailmsg.AddrDomain(e.RcptAddr)) {

@@ -18,42 +18,29 @@ import (
 // ran with ("local mode with the default thresholds").
 const DefaultThreshold = 5.0
 
-// RuleInput is one message prepared for scoring: the message, its
-// lazily derived text, and the content rules' evidence (bodyFacts),
-// computed on first use or handed in by the funnel's content memo.
+// RuleInput is one message prepared for scoring: the message and every
+// regex answer the rules read, worked out on the shared engine or
+// handed in by the funnel's content memo.
 type RuleInput struct {
-	m       *mailmsg.Message
-	oracle  bool // match on the stdlib regexps instead of the engine
-	text    string
-	hasText bool
-	body    bodyFacts
-	hasBody bool
+	m *mailmsg.Message
+	f emailFacts
 }
 
 // Msg returns the message being scored.
 func (in *RuleInput) Msg() *mailmsg.Message { return in.m }
 
-// Text is m.Text(), computed once.
-func (in *RuleInput) Text() string {
-	if !in.hasText {
-		in.text, in.hasText = in.m.Text(), true
-	}
-	return in.text
-}
-
-// facts returns the content rules' evidence, computing it on first use.
-func (in *RuleInput) facts() *bodyFacts {
-	if !in.hasBody {
-		in.body, in.hasBody = bodyFactsOf(in.m.Subject(), in.m.Body, in.m.HTMLBody, in.Text(), in.oracle), true
-	}
-	return &in.body
+// emailFacts is every regex answer the funnel needs about one email:
+// its content's, which the funnel memoizes per distinct content, and
+// its headers', which differ from email to email.
+type emailFacts struct {
+	body bodyFacts
+	head headerFacts
 }
 
 // bodyFacts is what the content rules know about a message: a pure
-// function of its Subject, Body and HTMLBody (text is m.Text()) and of
-// the matching path, so the funnel computes it once per distinct
-// content. reflection is no rule's: it is Layer 4's body test, read
-// off the same text scan.
+// function of its Subject, Body and HTMLBody (text is m.Text()), so the
+// funnel computes it once per distinct content. reflection is no
+// rule's: it is Layer 4's body test, read off the same text scan.
 type bodyFacts struct {
 	phrases    int  // spam phrases in text+" "+subject, capped at 3
 	money      bool // a dollar amount in the text
@@ -65,31 +52,43 @@ type bodyFacts struct {
 	reflection bool // the text reads like automated mail
 }
 
-// bodyFactsOf computes the content rules' evidence on the shared engine,
-// or on the stdlib oracle regexps.
-func bodyFactsOf(subject, body, html, text string, oracle bool) bodyFacts {
-	f := bodyFacts{htmlOnly: strings.TrimSpace(body) == "" && html != ""}
-	if oracle {
-		re := ruleEngine.Oracle
-		f.phrases = len(re(patSpamPhrase).FindAllString(text+" "+subject, 3))
-		f.money = re(patMoney).MatchString(text)
-		f.manyLinks = len(re(patURL).FindAllString(text+" "+html, 3)) >= 2
-		f.badTLDText = re(patBadTLD).MatchString(text)
-		f.badTLDHTML = re(patBadTLD).MatchString(html)
-		f.reflection = re(patReflectionBody).MatchString(text)
-	} else {
-		s := ruleEngine.Scan(text + " " + subject)
-		f.phrases = s.Count(patSpamPhrase, 3)
-		s.Release()
-		s = ruleEngine.Scan(text)
-		f.money, f.badTLDText = s.Match(patMoney), s.Match(patBadTLD)
-		f.reflection = s.Match(patReflectionBody)
-		s.Release()
-		s = ruleEngine.Scan(text + " " + html)
-		f.manyLinks = s.Count(patURL, 3) >= 2
-		s.Release()
-		f.badTLDHTML = html != "" && matchOn(false, patBadTLD, html)
+// headerFacts is what the regexes say about one email's address
+// headers and envelope sender.
+type headerFacts struct {
+	badTLD     bool // a bad-TLD address in From or Reply-To
+	bounce     bool // Sender, From or Reply-To reads like a bounce or list address
+	systemUser bool // the envelope sender or From is a system account
+}
+
+// messageFacts answers every regex question of m on the shared engine,
+// as for an email without an envelope sender.
+func messageFacts(m *mailmsg.Message) emailFacts {
+	return emailFacts{
+		body: bodyFactsOf(m.Subject(), m.Body, m.HTMLBody, m.Text()),
+		head: headerFactsOf(m, ""),
 	}
+}
+
+// bodyFactsOf computes the content rules' evidence on the shared engine.
+func bodyFactsOf(subject, body, html, text string) bodyFacts {
+	f := bodyShape(body, html, text)
+	s := ruleEngine.Scan(text + " " + subject)
+	f.phrases = s.Count(patSpamPhrase, 3)
+	s.Release()
+	s = ruleEngine.Scan(text)
+	f.money, f.badTLDText = s.Match(patMoney), s.Match(patBadTLD)
+	f.reflection = s.Match(patReflectionBody)
+	s.Release()
+	s = ruleEngine.Scan(text + " " + html)
+	f.manyLinks = s.Count(patURL, 3) >= 2
+	s.Release()
+	f.badTLDHTML = matchOn(patBadTLD, html)
+	return f
+}
+
+// bodyShape is the content evidence no regex decides: an HTML-only
+// message and a shouting text.
+func bodyShape(body, html, text string) bodyFacts {
 	letters, caps := 0, 0
 	for _, r := range text {
 		if r >= 'a' && r <= 'z' {
@@ -100,8 +99,29 @@ func bodyFactsOf(subject, body, html, text string, oracle bool) bodyFacts {
 			caps++
 		}
 	}
-	f.shouty = letters > 40 && float64(caps)/float64(letters) > 0.5
-	return f
+	return bodyFacts{
+		htmlOnly: strings.TrimSpace(body) == "" && html != "",
+		shouty:   letters > 40 && float64(caps)/float64(letters) > 0.5,
+	}
+}
+
+// headerFactsOf computes the header evidence on the shared engine: one
+// scan per address header answers both questions asked of it. sender
+// is the envelope sender's bare address (mailmsg.Addr).
+func headerFactsOf(m *mailmsg.Message, sender string) headerFacts {
+	var h headerFacts
+	for _, name := range [...]string{"From", "Reply-To", "Sender"} {
+		v := m.Header(name)
+		if v == "" {
+			continue // no funnel pattern matches the empty string
+		}
+		s := ruleEngine.Scan(v)
+		h.badTLD = h.badTLD || name != "Sender" && s.Match(patBadTLD)
+		h.bounce = h.bounce || s.Match(patBounceSender)
+		s.Release()
+	}
+	h.systemUser = matchOn(patSystemUser, sender) || matchOn(patSystemUser, mailmsg.Addr(m.From()))
+	return h
 }
 
 // Rule is one scored heuristic of the Layer 2 scorer.
@@ -115,7 +135,6 @@ type Rule struct {
 type Scorer struct {
 	Threshold float64
 	Rules     []Rule
-	oracle    bool // content evidence from the stdlib regexps
 }
 
 // NewScorer returns a Scorer with the default rule set and threshold.
@@ -124,21 +143,14 @@ func NewScorer() *Scorer {
 	return &Scorer{Threshold: DefaultThreshold, Rules: defaultRules()}
 }
 
-// NewScorerOracle returns a Scorer whose content evidence comes from the
-// original per-rule stdlib regexps — the reference the engine-backed
-// scorer is differentially tested against.
-func NewScorerOracle() *Scorer {
-	return &Scorer{Threshold: DefaultThreshold, Rules: defaultRules(), oracle: true}
-}
-
 // Score sums the scores of all matching rules and lists their names.
 func (s *Scorer) Score(m *mailmsg.Message) (float64, []string) {
-	return s.score(&RuleInput{m: m, oracle: s.oracle})
+	return s.scoreWith(m, messageFacts(m))
 }
 
-// scoreWith is Score on content evidence already worked out.
-func (s *Scorer) scoreWith(m *mailmsg.Message, body bodyFacts) (float64, []string) {
-	return s.score(&RuleInput{m: m, oracle: s.oracle, body: body, hasBody: true})
+// scoreWith is Score on regex evidence already worked out.
+func (s *Scorer) scoreWith(m *mailmsg.Message, f emailFacts) (float64, []string) {
+	return s.score(&RuleInput{m: m, f: f})
 }
 
 // score runs every rule on in, in order. The hit list is gathered on the
@@ -162,7 +174,7 @@ func (s *Scorer) score(in *RuleInput) (float64, []string) {
 // IsSpam reports whether the message scores at or above the threshold.
 // Unlike Score it does not materialize the rule-name list.
 func (s *Scorer) IsSpam(m *mailmsg.Message) bool {
-	in := RuleInput{m: m, oracle: s.oracle}
+	in := RuleInput{m: m, f: messageFacts(m)}
 	var total float64
 	for _, r := range s.Rules {
 		if r.Match(&in) {
@@ -172,8 +184,8 @@ func (s *Scorer) IsSpam(m *mailmsg.Message) bool {
 	return total >= s.Threshold
 }
 
-// The content-rule patterns, shared verbatim by the stdlib oracle
-// regexps and the multi-pattern engine.
+// The scorer and funnel patterns. The test oracle compiles them with
+// the stdlib, verbatim.
 const (
 	spamPhrasePat     = `(?i)\b(click here|limited time|act now|no obligation|100% free|risk free|money back|order now|this is not spam|dear friend|claim your prize|winner|lowest prices|online pharmacy|work from home|extra income|no experience|viagra|cheap meds|hot singles|no prescription|make \$\d+)\b`
 	moneyPat          = `\$\d+(?:[.,]\d{2})?`
@@ -197,18 +209,17 @@ const (
 
 // ruleEngine compiles every scorer and funnel pattern into one shared
 // multi-pattern engine (internal/match), proven match-for-match
-// equivalent to the oracle regexps below.
+// equivalent to the stdlib regexps of the same patterns.
 var ruleEngine = match.MustCompile(
 	spamPhrasePat, moneyPat, urlPat, badTLDPat,
 	reflectionBodyPat, bounceSenderPat, systemUserPat,
 )
 
 // matchOn answers a one-off Match of pattern pat on a (usually short)
-// string: on the shared engine, or under oracle on the pattern's stdlib
-// regexp, the engine's reference.
-func matchOn(oracle bool, pat int, text string) bool {
-	if oracle {
-		return ruleEngine.Oracle(pat).MatchString(text)
+// string on the shared engine.
+func matchOn(pat int, text string) bool {
+	if text == "" {
+		return false // no funnel pattern matches the empty string
 	}
 	s := ruleEngine.Scan(text)
 	ok := s.Match(pat)
@@ -217,8 +228,9 @@ func matchOn(oracle bool, pat int, text string) bool {
 }
 
 // defaultRules is the scorer's rule list, in its historical order:
-// subject rules, content rules, header and body-shape rules. The
-// content rules read bodyFacts; the rest read the message itself.
+// subject rules, content rules, header and body-shape rules. Every
+// regex question is read from the input's facts; the rest read the
+// message itself.
 func defaultRules() []Rule {
 	return []Rule{
 		{
@@ -249,26 +261,24 @@ func defaultRules() []Rule {
 		},
 		{
 			Name: "BODY_SPAM_PHRASES_2", Score: 1.6,
-			Match: func(in *RuleInput) bool { return in.facts().phrases >= 2 },
+			Match: func(in *RuleInput) bool { return in.f.body.phrases >= 2 },
 		},
 		{
 			Name: "BODY_SPAM_PHRASES_3", Score: 1.6,
-			Match: func(in *RuleInput) bool { return in.facts().phrases >= 3 },
+			Match: func(in *RuleInput) bool { return in.f.body.phrases >= 3 },
 		},
 		{
 			Name: "BODY_MONEY", Score: 0.7,
-			Match: func(in *RuleInput) bool { return in.facts().money },
+			Match: func(in *RuleInput) bool { return in.f.body.money },
 		},
 		{
 			Name: "BODY_MANY_LINKS", Score: 1.0,
-			Match: func(in *RuleInput) bool { return in.facts().manyLinks },
+			Match: func(in *RuleInput) bool { return in.f.body.manyLinks },
 		},
 		{
 			Name: "SUSPICIOUS_TLD", Score: 1.4,
 			Match: func(in *RuleInput) bool {
-				f := in.facts()
-				return matchOn(in.oracle, patBadTLD, in.m.From()) || f.badTLDText || f.badTLDHTML ||
-					matchOn(in.oracle, patBadTLD, in.m.Header("Reply-To"))
+				return in.f.head.badTLD || in.f.body.badTLDText || in.f.body.badTLDHTML
 			},
 		},
 		{
@@ -284,11 +294,11 @@ func defaultRules() []Rule {
 		},
 		{
 			Name: "HTML_ONLY", Score: 0.6,
-			Match: func(in *RuleInput) bool { return in.facts().htmlOnly },
+			Match: func(in *RuleInput) bool { return in.f.body.htmlOnly },
 		},
 		{
 			Name: "SHOUTY_BODY", Score: 0.8,
-			Match: func(in *RuleInput) bool { return in.facts().shouty },
+			Match: func(in *RuleInput) bool { return in.f.body.shouty },
 		},
 	}
 }

@@ -1,6 +1,8 @@
 package spamfilter_test
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"reflect"
 	"sort"
@@ -27,9 +29,11 @@ func splitDomains() map[string]bool {
 // Layer 5's recipient counts cross their thresholds) with every third
 // one sent from a shared sender pool (so spam taints ham senders for
 // Layer 3), and spamgen campaign samples for a receiver and an
-// SMTP-trap domain. Arrival times repeat, so Classify's stable sort is
-// exercised too.
-func splitCorpus() []*spamfilter.Email {
+// SMTP-trap domain. Each dataset's first 40 messages come once more,
+// each sent by its own From address to one shared recipient, and the
+// chaos soak's messages close the corpus. Arrival times repeat, so
+// Classify's stable sort is exercised too.
+func splitCorpus(t testing.TB) []*spamfilter.Email {
 	emails := spamfilter.FunnelFixture()
 	at := func(i int) time.Time { return splitT0.Add(time.Duration(i%97) * time.Minute) }
 	i := 0
@@ -51,6 +55,13 @@ func splitCorpus() []*spamfilter.Email {
 				SenderAddr: sender, SMTPTypoDomain: smtpTypo, Received: at(i),
 			})
 			i++
+			if j < 40 {
+				emails = append(emails, &spamfilter.Email{
+					Msg: lm.Msg, ServerDomain: "gmial.com", RcptAddr: "u@gmial.com",
+					SenderAddr: mailmsg.Addr(lm.Msg.From()), Received: at(i),
+				})
+				i++
+			}
 		}
 	}
 	for seed := int64(1); seed <= 3; seed++ {
@@ -67,17 +78,57 @@ func splitCorpus() []*spamfilter.Email {
 			}
 		}
 	}
+	for _, e := range chaosEmails(t) {
+		e.Received = at(i)
+		emails = append(emails, e)
+		i++
+	}
 	return emails
 }
 
-// TestPrepareDecideMatchesOracle holds the split funnel to the plain
-// single-function oracle in test code: identical Verdict, Layer, Rules
-// and FreqOf for every email, email by email through ClassifyOne and
-// after Classify's Layer 5, at the study's and the calibration's
-// thresholds, with one worker and with eight.
+// chaosMessage is a copy of the i-th message the root package's chaos
+// soak (chaos_test.go) sends; that soak checks every delivery is
+// byte-identical to it, so a differential over these messages covers
+// every email the soak's collector classifies.
+func chaosMessage(i int) *mailmsg.Message {
+	return mailmsg.NewBuilder("alice@gmail.com", fmt.Sprintf("u%d@gmial.com", i), fmt.Sprintf("chaos-%d", i)).
+		Body("card 4111 1111 1111 1111 and ssn 078-05-1120\n").Build()
+}
+
+// chaosSHA256 is the SHA-256 of the soak's 12 messages' bytes in send
+// order. chaos_test.go pins the same digest, so the copy cannot drift.
+const chaosSHA256 = "728d4dde32bb3488f87c5fbe570318c5424a16a3717e1c0b703606cfeadcff95"
+
+// chaosEmails parses the soak's 12 messages and addresses each as the
+// soak's collector receives it.
+func chaosEmails(t testing.TB) []*spamfilter.Email {
+	h := sha256.New()
+	var out []*spamfilter.Email
+	for i := 0; i < 12; i++ {
+		data := chaosMessage(i).Bytes()
+		h.Write(data)
+		msg, err := mailmsg.Parse(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, &spamfilter.Email{Msg: msg, ServerDomain: "gmial.com",
+			RcptAddr: fmt.Sprintf("u%d@gmial.com", i), SenderAddr: "alice@gmail.com"})
+	}
+	if sum := hex.EncodeToString(h.Sum(nil)); sum != chaosSHA256 {
+		t.Fatalf("chaos soak messages drifted from chaos_test.go: SHA-256 %s, want %s", sum, chaosSHA256)
+	}
+	return out
+}
+
+// TestPrepareDecideMatchesOracle holds the split funnel, whose regex
+// questions the shared engine answers, to the plain single-function
+// oracle in test code, whose stdlib regexps answer them: identical
+// Verdict, Layer, Rules and FreqOf for every email, email by email
+// through ClassifyOne and after Classify's Layer 5, at the study's and
+// the calibration's thresholds, with one worker and with eight.
 func TestPrepareDecideMatchesOracle(t *testing.T) {
 	defer par.SetWorkers(0)
-	emails := splitCorpus()
+	emails := splitCorpus(t)
 	configs := map[string]spamfilter.Config{
 		"default":     {OurDomains: splitDomains()},
 		"calibration": {OurDomains: splitDomains(), RcptThreshold: 2, SenderThreshold: 1, ContentThreshold: 1},
@@ -261,7 +312,7 @@ func freshClassify(cfg spamfilter.Config, emails []*spamfilter.Email) []spamfilt
 // with concurrent ClassifyOne callers.
 func TestPrepareMemoMatchesFresh(t *testing.T) {
 	defer par.SetWorkers(0)
-	emails := append(splitCorpus(), memoStream()...)
+	emails := append(splitCorpus(t), memoStream()...)
 	cfg := spamfilter.Config{OurDomains: splitDomains()}
 	for _, p := range memoPairs() {
 		a, b := freshPrepare(cfg, p[0]), freshPrepare(cfg, p[1])

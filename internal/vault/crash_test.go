@@ -13,16 +13,17 @@ import (
 
 var errInjected = errors.New("injected fault")
 
-// faultFS is the real file system with one file operation made to
-// fail. It counts every operation but reads; op k fails. In tear mode
-// op k is where the process dies: from k on no operation has any
-// effect. A faulted write lands the first half of its bytes, as a
-// full disk or a crash mid-write would. Sync is counted but not
-// performed: the model is a process crash, which page-cache contents
-// survive.
+// faultFS is the real file system with chosen file operations made to
+// fail. It counts every operation but reads, and the ops whose numbers
+// are in fail fail. In tear mode the first of them is where the process
+// dies: from it on no operation has any effect. A write in fail lands
+// the first half of its bytes, as a full disk or a crash mid-write
+// would. Sync is counted but not performed: the model is a process
+// crash, which page-cache contents survive.
 type faultFS struct {
-	k     int // the op to fault; 0 faults none
+	fail  map[int]bool
 	tear  bool
+	torn  bool
 	n     int
 	files []*os.File
 }
@@ -30,7 +31,11 @@ type faultFS struct {
 // fault counts one operation and reports whether it fails.
 func (fs *faultFS) fault() bool {
 	fs.n++
-	return fs.k > 0 && (fs.n == fs.k || fs.tear && fs.n > fs.k)
+	if fs.fail[fs.n] {
+		fs.torn = fs.tear
+		return true
+	}
+	return fs.torn
 }
 
 func (fs *faultFS) OpenFile(name string, flag int, perm os.FileMode) (framelog.File, error) {
@@ -66,7 +71,7 @@ type faultFile struct {
 
 func (f *faultFile) WriteAt(p []byte, off int64) (int, error) {
 	if f.fs.fault() {
-		if f.fs.n == f.fs.k {
+		if f.fs.fail[f.fs.n] {
 			n, _ := f.File.WriteAt(p[:len(p)/2], off)
 			return n, errInjected
 		}
@@ -217,10 +222,105 @@ func TestLogCrashAtEveryWrite(t *testing.T) {
 		mode := map[bool]string{false: "fail", true: "tear"}[tear]
 		for k := 1; k <= ops; k++ {
 			dir := t.TempDir()
-			fs := &faultFS{k: k, tear: tear}
+			fs := &faultFS{fail: map[int]bool{k: true}, tear: tear}
 			run := crashRun(dir, fs)
 			fs.release()
 			checkReplay(t, dir, run, mode, k)
 		}
 	}
+}
+
+// TestLogAppendAndCutBackFail fails a Put's frame write, which lands
+// half the frame, and then the Truncate that would cut it back. That
+// Put and every later Put to the shard must fail and store nothing,
+// while the other shard goes on; Close must report the failure; and
+// reopening the directory must replay exactly the acknowledged records,
+// the half frame dropped as a torn tail.
+func TestLogAppendAndCutBackFail(t *testing.T) {
+	dir, fs := t.TempDir(), &faultFS{}
+	defer fs.release()
+	v, err := openLog(DeriveKey("log-pass"), dir, crashOpts, fs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v.randRead = seqRand()
+	a, b := "d0.example", "d1.example"
+	if shardOf(a, crashOpts.Shards) == shardOf(b, crashOpts.Shards) {
+		t.Fatalf("%s and %s share a shard", a, b)
+	}
+	sa := v.shards[shardOf(a, crashOpts.Shards)]
+	run := crashOutcome{live: map[uint64]ackedPut{}, gone: map[string]bool{}}
+	when := time.Unix(0, 1465041600e9).UTC()
+	put := func(domain, pt string) error {
+		rec := Record{Domain: domain, Verdict: "receiver-typo", Received: when}
+		id, err := v.Put(rec.Domain, rec.Verdict, rec.Received, []byte(pt))
+		if err != nil {
+			run.gone[pt] = true
+			return err
+		}
+		rec.ID = id
+		run.live[id] = ackedPut{rec, pt}
+		run.maxID = max(run.maxID, id)
+		return nil
+	}
+	for _, p := range [][2]string{{a, "acked-a1"}, {b, "acked-b1"}, {a, "acked-a2"}} {
+		if err := put(p[0], p[1]); err != nil {
+			t.Fatalf("fault-free Put %s: %v", p[1], err)
+		}
+	}
+	if sa.active().Size() > crashOpts.MaxSegmentBytes {
+		t.Fatalf("shard of %s would rotate before the faulted append", a)
+	}
+
+	// The faulted Put's first operation is its frame write, its second
+	// the cut-back.
+	before := fs.n
+	fs.fail = map[int]bool{before + 1: true, before + 2: true}
+	if err := put(a, "failed-a3"); !errors.Is(err, errInjected) {
+		t.Fatalf("Put with a failed write and cut-back = %v, want the injected fault", err)
+	}
+	if fs.n != before+2 {
+		t.Fatalf("the faulted Put made %d file operations, want its write and its cut-back", fs.n-before)
+	}
+	for i := 4; i < 7; i++ {
+		if err := put(a, fmt.Sprintf("refused-a%d", i)); !errors.Is(err, errInjected) {
+			t.Fatalf("Put %d to the broken shard = %v, want the sticky fault", i, err)
+		}
+	}
+	if err := put(b, "acked-b2"); err != nil {
+		t.Fatalf("Put to the healthy shard: %v", err)
+	}
+	if v.Len() != len(run.live) {
+		t.Fatalf("vault holds %d records, %d were acknowledged", v.Len(), len(run.live))
+	}
+	if err := v.Close(); !errors.Is(err, errInjected) {
+		t.Fatalf("Close = %v, want the sticky fault", err)
+	}
+
+	// Reopening cuts the half frame away.
+	size := func() int64 {
+		var n int64
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range entries {
+			if fi, err := e.Info(); err == nil {
+				n += fi.Size()
+			}
+		}
+		return n
+	}
+	torn := size()
+	r, err := OpenLog(DeriveKey("log-pass"), dir, crashOpts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if cut := size(); cut >= torn {
+		t.Fatalf("reopen left %d segment bytes of %d: no torn tail was cut", cut, torn)
+	}
+	checkReplay(t, dir, run, "cut-back", 0)
 }
