@@ -156,6 +156,43 @@ func TestFrequencyThresholdEdges(t *testing.T) {
 	}
 }
 
+// TestFunnelEngineOracleVerdicts runs the fixture plus corpus spam and
+// ham through the engine-path classifier and the stdlib-regex oracle
+// funnel and requires identical verdicts, layers and rule hits
+// throughout.
+func TestFunnelEngineOracleVerdicts(t *testing.T) {
+	mkEmails := func() []*Email {
+		emails := funnelFixture()
+		i := len(emails)
+		for _, ds := range corpus.AllDatasets() {
+			for j, lm := range corpus.Generate(ds) {
+				if j >= 40 {
+					break
+				}
+				emails = append(emails, ourEmail(lm.Msg, "gmial.com", "u@gmial.com",
+					mailmsg.Addr(lm.Msg.From()), false, t0.Add(time.Duration(i)*time.Second)))
+				i++
+			}
+		}
+		return emails
+	}
+	cfg := Config{OurDomains: map[string]bool{"gmial.com": true, "outlo0k.com": true, "smtpverizon.net": true}}
+	re := NewClassifier(cfg).Classify(mkEmails())
+	ro := NewOracle(cfg).Classify(mkEmails())
+	if len(re) != len(ro) {
+		t.Fatalf("result lengths differ: %d vs %d", len(re), len(ro))
+	}
+	for i := range re {
+		if re[i].Verdict != ro[i].Verdict || re[i].Layer != ro[i].Layer {
+			t.Errorf("email %d: engine %v/L%d, oracle %v/L%d",
+				i, re[i].Verdict, re[i].Layer, ro[i].Verdict, ro[i].Layer)
+		}
+		if !reflect.DeepEqual(re[i].Rules, ro[i].Rules) {
+			t.Errorf("email %d rule hits differ: engine %v, oracle %v", i, re[i].Rules, ro[i].Rules)
+		}
+	}
+}
+
 // TestScorerEngineOracleScores requires the engine's regex evidence to
 // equal the stdlib oracle's, and identical scores, rule-hit lists and
 // IsSpam verdicts from the two, over every corpus message.
